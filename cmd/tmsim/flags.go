@@ -16,18 +16,17 @@ import (
 // explicitly passed (so validation can tell a default apart from an
 // explicit choice).
 type config struct {
-	experiment   string
-	scaleName    string
-	policy       string
-	sched        string
-	windowCycles uint64
-	seed         uint64
-	seeds        int
-	csvPath      string
-	parallel     int
-	progress     bool
-	metricsOut   string
-	txstatsOut   string
+	experiment string
+	scaleName  string
+	policy     string
+	sched      string
+	seed       uint64
+	seeds      int
+	csvPath    string
+	parallel   int
+	progress   bool
+	metricsOut string
+	txstatsOut string
 
 	traceOut      string
 	traceFormat   string
@@ -72,8 +71,7 @@ func parseConfig(args []string, errOut io.Writer) (*config, error) {
 	fs.StringVar(&cfg.experiment, "experiment", "all", "fig5 | fig6 | fig7 | fig8 | ablate | extended | footprints | policies | litmus | latency | scale | params | all")
 	fs.StringVar(&cfg.scaleName, "scale", "full", "small | full")
 	fs.StringVar(&cfg.policy, "policy", "exp", "contention-management policy: exp | linear | karma | serialize")
-	fs.StringVar(&cfg.sched, "sched", "fast", "engine scheduler: fast | reference | parallel (results are bit-identical; only wall clock differs)")
-	fs.Uint64Var(&cfg.windowCycles, "window-cycles", 0, "parallel-scheduler window width in simulated cycles (0 = engine default; requires -sched parallel)")
+	fs.StringVar(&cfg.sched, "sched", "fast", "engine scheduler: fast | reference (results are bit-identical; only wall clock differs)")
 	fs.Uint64Var(&cfg.seed, "seed", 1, "machine RNG seed")
 	fs.IntVar(&cfg.seeds, "seeds", 0, "run fig5 across seeds 1..N and report mean/min/max")
 	fs.StringVar(&cfg.csvPath, "csv", "", "also write the fig5 sweep as CSV to this file")
@@ -120,11 +118,9 @@ func (cfg *config) spec() cm.Spec {
 	return s
 }
 
-// applySched writes the -sched / -window-cycles selection into params.
+// applySched writes the -sched selection into params.
 func (cfg *config) applySched(p *machine.Params) {
 	p.ReferenceScheduler = cfg.sched == "reference"
-	p.ParallelScheduler = cfg.sched == "parallel"
-	p.WindowCycles = cfg.windowCycles
 }
 
 // scale resolves -scale (validate has already vetted it).
@@ -166,12 +162,9 @@ func (cfg *config) validate() error {
 		return fmt.Errorf("-policy %q: want one of %v", cfg.policy, cm.Kinds)
 	}
 	switch cfg.sched {
-	case "fast", "reference", "parallel":
+	case "fast", "reference":
 	default:
-		return fmt.Errorf("unknown scheduler %q (want fast, reference, or parallel)", cfg.sched)
-	}
-	if cfg.set["window-cycles"] && cfg.sched != "parallel" {
-		return fmt.Errorf("-window-cycles requires -sched parallel")
+		return fmt.Errorf("unknown scheduler %q (want fast or reference)", cfg.sched)
 	}
 	if cfg.seeds < 0 {
 		return fmt.Errorf("-seeds %d: want >= 0", cfg.seeds)

@@ -1,7 +1,11 @@
 package main
 
 import (
+	"bytes"
+	"errors"
 	"io"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 )
@@ -28,6 +32,9 @@ func TestParseConfigValidation(t *testing.T) {
 		{"negative seeds", []string{"-seeds", "-1"}, "-seeds"},
 		{"negative parallel", []string{"-parallel", "-2"}, "-parallel"},
 		{"positional junk", []string{"fig5"}, "unexpected arguments"},
+		{"reference scheduler", []string{"-sched", "reference"}, ""},
+		{"parallel scheduler removed", []string{"-sched", "parallel"}, "want fast or reference"},
+		{"window-cycles removed", []string{"-window-cycles", "5"}, "flag provided but not defined: -window-cycles"},
 
 		{"trace-format without trace-out", []string{"-trace-format", "chrome"}, "-trace-format requires -trace-out"},
 		{"trace-workload without trace-out", []string{"-trace-workload", "genome"}, "-trace-workload requires -trace-out"},
@@ -102,5 +109,40 @@ func TestParseConfigDefaults(t *testing.T) {
 	}
 	if len(cfg.set) != 0 {
 		t.Fatalf("set = %v, want empty", cfg.set)
+	}
+}
+
+// TestMain lets TestRejectedFlagsExitTwo re-run this test binary as tmsim
+// itself: with TMSIM_RUN_MAIN set, the binary is main() and its
+// arguments are the tmsim flags.
+func TestMain(m *testing.M) {
+	if os.Getenv("TMSIM_RUN_MAIN") == "1" {
+		os.Args = append([]string{"tmsim"}, strings.Fields(os.Getenv("TMSIM_ARGS"))...)
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestRejectedFlagsExitTwo pins the process-level contract for removed
+// scheduler settings: the tmsim process exits 2 with a usable message
+// before simulating anything.
+func TestRejectedFlagsExitTwo(t *testing.T) {
+	for _, c := range []struct{ args, want string }{
+		{"-sched parallel", `unknown scheduler "parallel" (want fast or reference)`},
+		{"-window-cycles 5", "flag provided but not defined: -window-cycles"},
+	} {
+		cmd := exec.Command(os.Args[0], "-test.run=^$")
+		cmd.Env = append(os.Environ(), "TMSIM_RUN_MAIN=1", "TMSIM_ARGS="+c.args)
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("tmsim %s: err = %v, want exit status 2", c.args, err)
+		}
+		if !strings.Contains(stderr.String(), c.want) {
+			t.Errorf("tmsim %s: stderr %q, want substring %q", c.args, stderr.String(), c.want)
+		}
 	}
 }

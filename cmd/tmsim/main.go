@@ -23,12 +23,9 @@
 // recorded in EXPERIMENTS.md. Runs are deterministic for a given -seed.
 //
 // -sched selects the engine scheduler every simulated machine runs
-// under: fast (the run-ahead serial scheduler, default), reference (the
-// executable specification), or parallel (the time-windowed parallel
-// scheduler, DESIGN.md §14; -window-cycles tunes its host-side window
-// width). Simulated results are bit-identical across all three — the
-// choice only affects wall-clock time, with parallel using multiple
-// host cores per cell.
+// under: fast (the run-ahead scheduler, default) or reference (the
+// executable specification). Simulated results are bit-identical across
+// both — the choice only affects wall-clock time.
 //
 // -policy selects the contention-management (backoff) policy every
 // system retries under: exp (the paper's capped exponential, default),

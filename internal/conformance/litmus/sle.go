@@ -30,7 +30,7 @@ func (s *sleSystem) Name() string     { return "sle" }
 func (s *sleSystem) Stats() *tm.Stats { return &s.stats }
 
 func (s *sleSystem) Exec(p *machine.Proc) tm.Exec {
-	return tm.Ordered(&sleExec{sys: s, e: s.mgr.Exec(p), p: p})
+	return &sleExec{sys: s, e: s.mgr.Exec(p), p: p}
 }
 
 type sleExec struct {

@@ -87,8 +87,7 @@ func PrintFigure5(w io.Writer, data []Figure5Data, scale Scale) {
 
 // ScaleProcCounts is the `-experiment scale` x-axis: simulated-processor
 // counts beyond the paper's 16, exercising the 256-processor directory
-// and sized for the windowed-parallel scheduler (DESIGN.md §14). The
-// small scale keeps unit tests fast.
+// and the engine's ready heap. The small scale keeps unit tests fast.
 func ScaleProcCounts(s Scale) []int {
 	if s == ScaleFull {
 		return []int{64, 128, 256}

@@ -46,31 +46,29 @@ func TestFigure5GoldenDefaultPolicy(t *testing.T) {
 	}
 }
 
-// TestFigure5GoldenParallelScheduler runs the same small-scale Figure 5
-// sweep with every cell's machine under the windowed-parallel scheduler
-// (machine.Params.ParallelScheduler, DESIGN.md §14) and requires the
-// rendered output to match the same golden capture byte for byte. The
-// golden was produced by the serial schedulers, so passing here is the
-// end-to-end bit-identity proof for the parallel engine across every
-// system and thread count the figure sweeps.
-func TestFigure5GoldenParallelScheduler(t *testing.T) {
+// TestFigure5GoldenReferenceScheduler runs the same small-scale Figure 5
+// sweep with every cell's machine under the reference scheduler
+// (machine.Params.ReferenceScheduler, the executable specification,
+// DESIGN.md §12) and requires the rendered output to match the same
+// golden capture byte for byte. The golden was produced by the run-ahead
+// fast path, so passing here is the end-to-end bit-identity proof that
+// the fast path follows the specification across every system and
+// thread count the figure sweeps.
+func TestFigure5GoldenReferenceScheduler(t *testing.T) {
 	golden, err := os.ReadFile(filepath.Join("testdata", "fig5_small.golden"))
 	if err != nil {
 		t.Fatalf("missing golden: %v", err)
 	}
-	for _, window := range []uint64{0, 777} {
-		opt := DefaultOptions()
-		opt.Params.Seed = 1
-		opt.Params.ParallelScheduler = true
-		opt.Params.WindowCycles = window
-		data, err := Parallel(0).Figure5(opt, ScaleSmall)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var sb strings.Builder
-		PrintFigure5(&sb, data, ScaleSmall)
-		if sb.String() != string(golden) {
-			t.Errorf("window=%d: parallel-scheduler Figure 5 output drifted from the serial golden", window)
-		}
+	opt := DefaultOptions()
+	opt.Params.Seed = 1
+	opt.Params.ReferenceScheduler = true
+	data, err := Parallel(0).Figure5(opt, ScaleSmall)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	PrintFigure5(&sb, data, ScaleSmall)
+	if sb.String() != string(golden) {
+		t.Errorf("reference-scheduler Figure 5 output drifted from the golden:\n--- got ---\n%s\n--- want ---\n%s", sb.String(), golden)
 	}
 }

@@ -7,49 +7,43 @@ import (
 )
 
 // TestScaleSweepSchedulerBitIdentical runs the small scaling study under
-// the single-token scheduler and the windowed-parallel scheduler (at the
-// default window and a deliberately odd one) and requires bit-identical
-// results: same sequential baseline, same per-cell cycle counts, stats,
-// and machine counters, same rendered table. This is the scale-experiment
-// counterpart of the Figure 5 golden differential test — the parallel
-// scheduler may only change wall clock, never results (DESIGN.md §14).
+// the reference scheduler (the executable specification) and the
+// run-ahead fast path and requires bit-identical results: same
+// sequential baseline, same per-cell cycle counts, stats, and machine
+// counters, same rendered table. This is the scale-experiment counterpart
+// of the Figure 5 golden differential test — the scheduler may only
+// change wall clock, never results (DESIGN.md §12).
 func TestScaleSweepSchedulerBitIdentical(t *testing.T) {
-	run := func(parallel bool, window uint64) (Figure5Data, []byte) {
+	run := func(reference bool) (Figure5Data, []byte) {
 		t.Helper()
 		opt := testOptions()
-		opt.Params.ParallelScheduler = parallel
-		opt.Params.WindowCycles = window
+		opt.Params.ReferenceScheduler = reference
 		d, err := Serial().ScaleSweep(opt, ScaleSmall)
 		if err != nil {
-			t.Fatalf("ScaleSweep(parallel=%v, window=%d): %v", parallel, window, err)
+			t.Fatalf("ScaleSweep(reference=%v): %v", reference, err)
 		}
 		var buf bytes.Buffer
 		PrintScaleSweep(&buf, d, ScaleSmall)
 		return d, buf.Bytes()
 	}
 
-	ref, refOut := run(false, 0)
+	ref, refOut := run(true)
 	if ref.SeqCycles == 0 {
 		t.Fatal("sequential baseline ran zero cycles")
 	}
-	for name, cfg := range map[string]struct {
-		window uint64
-	}{"parallel": {0}, "parallel-w97": {97}} {
-		got, gotOut := run(true, cfg.window)
-		if !bytes.Equal(refOut, gotOut) {
-			t.Errorf("%s: rendered sweep differs from single-token scheduler:\n--- serial\n%s--- %s\n%s",
-				name, refOut, name, gotOut)
-		}
-		if got.SeqCycles != ref.SeqCycles {
-			t.Errorf("%s: seq baseline %d cycles, serial %d", name, got.SeqCycles, ref.SeqCycles)
-		}
-		for _, sys := range ScaleSystems {
-			for _, p := range ScaleProcCounts(ScaleSmall) {
-				r, w := ref.Cells[sys][p], got.Cells[sys][p]
-				if w.Cycles != r.Cycles || w.Stats != r.Stats || !reflect.DeepEqual(w.Machine, r.Machine) {
-					t.Errorf("%s: %s p=%d diverged: cycles %d vs %d, stats %+v vs %+v",
-						name, sys, p, w.Cycles, r.Cycles, w.Stats, r.Stats)
-				}
+	got, gotOut := run(false)
+	if !bytes.Equal(refOut, gotOut) {
+		t.Errorf("rendered sweep differs from the reference scheduler:\n--- reference\n%s--- fast\n%s", refOut, gotOut)
+	}
+	if got.SeqCycles != ref.SeqCycles {
+		t.Errorf("seq baseline: fast %d cycles, reference %d", got.SeqCycles, ref.SeqCycles)
+	}
+	for _, sys := range ScaleSystems {
+		for _, p := range ScaleProcCounts(ScaleSmall) {
+			r, w := ref.Cells[sys][p], got.Cells[sys][p]
+			if w.Cycles != r.Cycles || w.Stats != r.Stats || !reflect.DeepEqual(w.Machine, r.Machine) {
+				t.Errorf("%s p=%d diverged: cycles %d vs %d, stats %+v vs %+v",
+					sys, p, w.Cycles, r.Cycles, w.Stats, r.Stats)
 			}
 		}
 	}

@@ -38,7 +38,7 @@ func TestSmallTxCommitsInHardware(t *testing.T) {
 // otable rows inflate the transactional footprint.
 func TestBarrierPutsOTableRowInFootprint(t *testing.T) {
 	m, s := testSystem(1)
-	ex := tm.Unwrap(s.Exec(m.Proc(0))).(*exec)
+	ex := s.Exec(m.Proc(0)).(*exec)
 	m.Run([]func(*machine.Proc){func(p *machine.Proc) {
 		ex.u.Begin(m.NextAge())
 		hwTx{ex}.Store(0, 1)

@@ -166,17 +166,6 @@ type Params struct {
 	// Reference). Simulated results are bit-identical; differential tests
 	// use it to pin the fast path to the specification.
 	ReferenceScheduler bool
-	// ParallelScheduler runs the machine on the engine's time-windowed
-	// parallel scheduler (sim.Config.Parallel, DESIGN.md §14): processor
-	// goroutines run concurrently and every machine operation serializes
-	// through an ordered section in (cycle, proc id) order. Simulated
-	// results are bit-identical to both serial schedulers. Mutually
-	// exclusive with ReferenceScheduler.
-	ParallelScheduler bool
-	// WindowCycles is the parallel scheduler's window width in cycles
-	// (zero selects sim.DefaultWindowCycles). Affects host-side
-	// synchronization cadence only, never simulated results.
-	WindowCycles uint64
 
 	HWPolicy ContentionPolicy
 	// TrueConflictUFOKills enables the Figure 8 limit study: set_ufo_bits
@@ -248,12 +237,12 @@ type ConflictRecorder interface {
 // SetConflictRecorder attaches (or with nil detaches) a conflict
 // recorder. Recording costs one nil check per abort/commit when
 // detached. Attach before Run; the machine then invokes the recorder
-// from inside ordered operations, so it observes events in the
-// deterministic schedule order without locking.
+// from the processor holding the execution token, so it observes events
+// in the deterministic schedule order without locking.
 func (m *Machine) SetConflictRecorder(r ConflictRecorder) { m.rec = r }
 
 // ConflictRecorder returns the attached recorder, or nil. The
-// attachment is fixed before Run, so the read needs no ordered section.
+// attachment is fixed before Run, so the read is deterministic.
 func (m *Machine) ConflictRecorder() ConflictRecorder { return m.rec }
 
 // TxPath classifies the execution mode of one transaction attempt for
@@ -301,9 +290,9 @@ func TxPathByName(name string) (TxPath, bool) {
 
 // TxRecorder receives per-transaction lifecycle events from the TM
 // systems running on the machine (via the Proc.TxLife* hooks).
-// Implementations must be cheap and need no locking: the hooks bracket
-// every call in an ordered section, so a recorder observes events in
-// the deterministic schedule order under every scheduler.
+// Implementations must be cheap and need no locking: the hooks run on
+// the processor holding the execution token, so a recorder observes
+// events in the deterministic schedule order under every scheduler.
 // internal/txstats provides the standard implementation; the machine
 // only defines the interface so the dependency points outward.
 type TxRecorder interface {
@@ -335,12 +324,12 @@ type TxRecorder interface {
 // SetTxRecorder attaches (or with nil detaches) a per-transaction
 // lifecycle recorder. Recording costs one nil check per lifecycle hook
 // when detached. Attach before Run; the hooks then invoke the recorder
-// from inside ordered sections, so it observes events in the
-// deterministic schedule order without locking.
+// from the processor holding the execution token, so it observes events
+// in the deterministic schedule order without locking.
 func (m *Machine) SetTxRecorder(r TxRecorder) { m.txrec = r }
 
 // TxRecorder returns the attached lifecycle recorder, or nil. The
-// attachment is fixed before Run, so the read needs no ordered section.
+// attachment is fixed before Run, so the read is deterministic.
 func (m *Machine) TxRecorder() TxRecorder { return m.txrec }
 
 // Counters aggregates machine-level event counts.
@@ -360,10 +349,9 @@ type Counters struct {
 
 // Machine is the simulated multiprocessor. Its shared state (memory,
 // directory, counters, trace, age sequence, Rand) is mutated only from
-// Proc methods, which serialize deterministically: trivially under the
-// serial schedulers, and through ordered sections in (cycle, proc id)
-// order under the parallel scheduler. Results are therefore bit-identical
-// across schedulers.
+// Proc methods running on the processor that holds the execution token,
+// so mutations serialize in (cycle, proc id) step order. Results are
+// therefore bit-identical across schedulers.
 type Machine struct {
 	Params
 	Eng   *sim.Engine
@@ -391,18 +379,13 @@ func New(p Params) *Machine {
 	if p.Procs > cache.MaxProcs {
 		panic(fmt.Sprintf("machine: Procs %d exceeds the directory's %d-processor limit", p.Procs, cache.MaxProcs))
 	}
-	if p.ReferenceScheduler && p.ParallelScheduler {
-		panic("machine: ReferenceScheduler and ParallelScheduler are mutually exclusive")
-	}
 	m := &Machine{
 		Params: p,
 		Eng: sim.New(sim.Config{
-			Procs:        p.Procs,
-			Quantum:      p.Quantum,
-			MaxSteps:     p.MaxSteps,
-			Reference:    p.ReferenceScheduler,
-			Parallel:     p.ParallelScheduler,
-			WindowCycles: p.WindowCycles,
+			Procs:     p.Procs,
+			Quantum:   p.Quantum,
+			MaxSteps:  p.MaxSteps,
+			Reference: p.ReferenceScheduler,
 		}),
 		Mem:  mem.New(p.MemBytes),
 		Rand: sim.NewRand(p.Seed),
@@ -427,19 +410,18 @@ func New(p Params) *Machine {
 }
 
 // Procs returns the machine's processors in ID order. The slice is
-// fixed at construction; reading it needs no ordered section.
+// fixed at construction, so the read is deterministic.
 func (m *Machine) Procs() []*Proc { return m.procs }
 
-// Proc returns processor id. The mapping is fixed at construction;
-// reading it needs no ordered section.
+// Proc returns processor id. The mapping is fixed at construction, so
+// the read is deterministic.
 func (m *Machine) Proc(id int) *Proc { return m.procs[id] }
 
 // NextAge returns a fresh, globally ordered transaction age (smaller is
 // older). Both HW and SW transactions draw from the same sequence so that
-// cross-system age comparisons are meaningful. Under the parallel
-// scheduler the caller must hold an ordered section (Proc.BeginOrdered):
-// the sequence is shared, and the draw order must match the serial
-// schedule. The TM systems' Atomic wrappers already satisfy this.
+// cross-system age comparisons are meaningful. The sequence is shared;
+// only the processor holding the execution token draws from it, so the
+// draw order is the (cycle, id) schedule order.
 func (m *Machine) NextAge() uint64 {
 	m.txSeq++
 	return m.txSeq
@@ -461,17 +443,17 @@ func (m *Machine) Run(workloads []func(*Proc)) {
 }
 
 // Cycles returns the simulated duration so far. Like sim.Engine.Now it
-// is meant for between-runs reads; mid-run reads under the parallel
-// scheduler are racy snapshots unless made from inside an ordered
-// section.
+// is meant for between-runs reads, or mid-run reads from the processor
+// holding the execution token; either reading is deterministic.
 func (m *Machine) Cycles() uint64 { return m.Eng.Now() }
 
 // CheckConsistency validates the machine's internal invariants: the
 // directory and the per-processor L1s agree exactly, and speculative
 // state only exists inside in-flight transactions. Tests call this after
 // (and during) stress runs; it is not part of the simulated semantics.
-// It reads shared state without brackets, so call it between runs, or
-// mid-run only from a processor inside an ordered section.
+// It reads shared state, so call it between runs, or mid-run only from
+// the processor holding the execution token, where the check is
+// deterministic.
 func (m *Machine) CheckConsistency() error {
 	// Every L1-resident line is registered in the directory...
 	for _, p := range m.procs {

@@ -38,11 +38,11 @@ func (t *HWTx) Footprint() int {
 
 // Proc is one simulated processor plus its private L1 and transactional
 // state. All methods must be called from the processor's own workload
-// goroutine, except where noted. Every method that touches shared
-// machine state brackets itself in an ordered section (BeginOrdered), so
-// it executes at this processor's (cycle, id) slot of the deterministic
-// schedule under all schedulers; methods documented as proc-local skip
-// the bracket.
+// goroutine, except where noted. Only the processor holding the engine's
+// execution token runs, so every method that touches shared machine
+// state executes at this processor's (cycle, id) slot of the
+// deterministic schedule under both schedulers; methods documented as
+// proc-local touch only this processor's state.
 type Proc struct {
 	m   *Machine
 	sp  *sim.Proc
@@ -64,18 +64,16 @@ type Proc struct {
 func (p *Proc) ID() int { return p.sp.ID() }
 
 // Machine returns the owning machine (immutable, proc-local). Shared
-// fields reached through it (Mem, Count, Rand, NextAge) must only be
-// touched from inside an ordered section under the parallel scheduler.
+// fields reached through it (Mem, Count, Rand, NextAge) are touched at
+// this processor's (cycle, id) schedule slot.
 func (p *Proc) Machine() *Machine { return p.m }
 
-// Now returns the processor's local clock (proc-local; no ordered
-// section needed).
+// Now returns the processor's local clock (proc-local).
 func (p *Proc) Now() uint64 { return p.sp.Now() }
 
 // Elapse charges pure-compute cycles. It is the scheduling point: the
 // deterministic (cycle, id) order is defined over the clock values
-// Elapse publishes. Pure compute between Elapse calls is what the
-// parallel scheduler overlaps across host cores.
+// Elapse publishes.
 func (p *Proc) Elapse(c uint64) { p.sp.Elapse(c) }
 
 // ElapseUntil advances the processor's local clock to at least cycle,
@@ -104,24 +102,9 @@ func (p *Proc) Wake(q *Proc) { p.sp.Wake(q.sp) }
 // never affects the schedule).
 func (p *Proc) SetNote(format string, args ...any) { p.sp.SetNote(format, args...) }
 
-// BeginOrdered opens an ordered section for the line containing addr:
-// under the parallel scheduler (Params.ParallelScheduler) the call
-// returns only when this processor is the global (cycle, id) minimum, so
-// everything until the matching EndOrdered executes in exactly the
-// serial schedulers' step order. Under the serial schedulers it is a
-// no-op. Sections nest; every machine operation that touches shared
-// simulated state already brackets itself, so layers above only need
-// their own brackets around multi-operation critical sections that read
-// or write shared host-side state (ownership tables, lock tables,
-// statistics).
-func (p *Proc) BeginOrdered(addr uint64) { p.sp.EnterOrdered(mem.LineOf(addr)) }
-
-// EndOrdered closes the most recent BeginOrdered section.
-func (p *Proc) EndOrdered() { p.sp.ExitOrdered() }
-
 // Rand returns a per-processor deterministic random stream, seeded from
-// Params.Seed and the processor ID. It is proc-local: drawing from it
-// needs no ordered section (unlike the machine-wide Machine.Rand).
+// Params.Seed and the processor ID. It is proc-local, unlike the
+// machine-wide Machine.Rand.
 func (p *Proc) Rand() *sim.Rand {
 	if p.rng == nil {
 		p.rng = sim.NewRand(p.m.Seed*2654435761 + uint64(p.ID()) + 1)
@@ -131,14 +114,13 @@ func (p *Proc) Rand() *sim.Rand {
 
 // L1 exposes the occupancy model (for tests and statistics). The L1 is
 // proc-local state; mid-run mutation happens only through this
-// processor's own ordered operations.
+// processor's own operations, at its (cycle, id) schedule slot.
 func (p *Proc) L1() *cache.L1 { return p.l1 }
 
 // --- UFO thread state (Table 2: enable_ufo / disable_ufo) ---
 
 // SetUFOEnabled turns UFO faulting on or off for this thread. The flag
-// is proc-local (only this processor's accesses consult it), so no
-// ordered section is needed.
+// is proc-local: only this processor's accesses consult it.
 func (p *Proc) SetUFOEnabled(on bool) { p.ufo = on }
 
 // UFOEnabled reports whether UFO faults are delivered to this thread
@@ -147,18 +129,17 @@ func (p *Proc) UFOEnabled() bool { return p.ufo }
 
 // SetSTM publishes that this processor is (or is no longer) executing a
 // software transaction of the given age. Other processors read this
-// state when classifying conflicts, so the update is an ordered section.
+// state when classifying conflicts; the update lands at this
+// processor's (cycle, id) schedule slot.
 func (p *Proc) SetSTM(active bool, age uint64) {
-	p.sp.EnterOrdered(0)
 	p.inSTM = active
 	p.stmAge = age
-	p.sp.ExitOrdered()
 }
 
 // InSTM reports whether a software transaction is active on this
 // processor. Reading one's own flag is proc-local; the cross-processor
-// readers are the machine's conflict classifiers, which run inside
-// ordered sections.
+// readers are the machine's conflict classifiers, which run on the
+// processor holding the execution token.
 func (p *Proc) InSTM() bool { return p.inSTM }
 
 // --- Hardware transactions ---
@@ -170,12 +151,8 @@ func (p *Proc) HW() *HWTx { return p.hw }
 // BeginHW starts a hardware transaction with the given age. bounded
 // selects BTM semantics (L1-capacity-limited) versus the idealized
 // unbounded HTM. Nesting is the caller's concern (BTM flattens).
-// Self-bracketed in an ordered section; note that an age drawn from
-// Machine.NextAge must itself be drawn inside an enclosing ordered
-// section (the TM systems' Atomic wrappers arrange this).
+// Runs at this processor's (cycle, id) schedule slot.
 func (p *Proc) BeginHW(age uint64, bounded bool) {
-	p.sp.EnterOrdered(0)
-	defer p.sp.ExitOrdered()
 	if p.hw != nil {
 		panic("machine: BeginHW with transaction already active")
 	}
@@ -202,11 +179,9 @@ func (p *Proc) BeginHW(age uint64, bounded bool) {
 
 // CommitHW atomically publishes the transaction's speculative writes and
 // ends it. If an abort was already pending the transaction is aborted
-// instead and the outcome says so. Self-bracketed in an ordered section,
-// so the publish is atomic at this processor's schedule slot.
+// instead and the outcome says so. The publish is atomic at this
+// processor's (cycle, id) schedule slot.
 func (p *Proc) CommitHW() Outcome {
-	p.sp.EnterOrdered(0)
-	defer p.sp.ExitOrdered()
 	t := p.hw
 	if t == nil {
 		panic("machine: CommitHW with no transaction")
@@ -229,10 +204,9 @@ func (p *Proc) CommitHW() Outcome {
 
 // AbortHW aborts the in-flight transaction for a self-inflicted reason
 // (explicit abort, syscall, I/O, exception marker). Speculative state is
-// discarded; the caller unwinds. Self-bracketed in an ordered section.
+// discarded; the caller unwinds. Runs at this processor's (cycle, id)
+// schedule slot.
 func (p *Proc) AbortHW(reason AbortReason) {
-	p.sp.EnterOrdered(0)
-	defer p.sp.ExitOrdered()
 	t := p.hw
 	if t == nil {
 		panic("machine: AbortHW with no transaction")
@@ -247,11 +221,9 @@ func (p *Proc) AbortHW(reason AbortReason) {
 // conflict on behalf of a software transaction running elsewhere (HyTM's
 // otable check, PhTM's phase counter, SLE's held lock word): the abort is
 // architecturally self-inflicted, but the contention belongs to the peer.
-// aggressor -1 falls back to self-attribution. Self-bracketed in an
-// ordered section on the conflicting line.
+// aggressor -1 falls back to self-attribution. Runs at this processor's
+// (cycle, id) schedule slot.
 func (p *Proc) AbortHWAttributed(reason AbortReason, aggressor int, addr uint64) {
-	p.sp.EnterOrdered(mem.LineOf(addr))
-	defer p.sp.ExitOrdered()
 	if p.hw == nil {
 		panic("machine: AbortHWAttributed with no transaction")
 	}
@@ -263,11 +235,8 @@ func (p *Proc) AbortHWAttributed(reason AbortReason, aggressor int, addr uint64)
 // that p's software transaction killed victim's software transaction over
 // the line containing addr. The STM layers call this from their kill
 // paths; the machine itself only sees SW conflicts indirectly.
-// Self-bracketed in an ordered section so recorder events arrive in
-// deterministic schedule order.
+// Recorder events arrive in deterministic schedule order.
 func (p *Proc) RecordSWKill(victim *Proc, reason AbortReason, addr uint64, hasAddr bool) {
-	p.sp.EnterOrdered(mem.LineOf(addr))
-	defer p.sp.ExitOrdered()
 	if p.m.rec != nil {
 		p.m.rec.RecordEdge(ConflictEdge{
 			Aggressor: p.ID(), Victim: victim.ID(),
@@ -283,11 +252,9 @@ func (p *Proc) RecordSWKill(victim *Proc, reason AbortReason, addr uint64, hasAd
 // RecordSWAbortBy notes that p's own software transaction aborted because
 // of aggressor (-1 when unknown, e.g. a TL2 stripe whose last writer has
 // long released it). Used by STMs whose victims detect conflicts
-// themselves rather than being killed. Self-bracketed in an ordered
-// section so recorder events arrive in deterministic schedule order.
+// themselves rather than being killed. Recorder events arrive in
+// deterministic schedule order.
 func (p *Proc) RecordSWAbortBy(aggressor int, reason AbortReason, addr uint64, hasAddr bool) {
-	p.sp.EnterOrdered(mem.LineOf(addr))
-	defer p.sp.ExitOrdered()
 	if p.m.rec != nil {
 		p.m.rec.RecordEdge(ConflictEdge{
 			Aggressor: aggressor, Victim: p.ID(),
@@ -301,10 +268,9 @@ func (p *Proc) RecordSWAbortBy(aggressor int, reason AbortReason, addr uint64, h
 }
 
 // RecordSWCommit notes a committed software transaction with the conflict
-// recorder (no-op when detached). Self-bracketed in an ordered section.
+// recorder (no-op when detached) at this processor's (cycle, id)
+// schedule slot.
 func (p *Proc) RecordSWCommit() {
-	p.sp.EnterOrdered(0)
-	defer p.sp.ExitOrdered()
 	if p.m.rec != nil {
 		p.m.rec.RecordCommit(p.ID(), false, p.Now())
 	}
@@ -565,12 +531,10 @@ func (p *Proc) charge(line uint64, write bool) {
 
 // --- Data-path operations ---
 
-// TxRead performs a transactional load. Self-bracketed in an ordered
-// section on the accessed line: conflict detection, footprint update,
-// and data read are atomic at this processor's schedule slot.
+// TxRead performs a transactional load. Conflict detection, footprint
+// update, and data read are atomic at this processor's (cycle, id)
+// schedule slot.
 func (p *Proc) TxRead(addr uint64) (uint64, Outcome) {
-	p.sp.EnterOrdered(mem.LineOf(addr))
-	defer p.sp.ExitOrdered()
 	out := p.access(addr, false, true)
 	if out.Kind != OK {
 		return 0, out
@@ -582,10 +546,8 @@ func (p *Proc) TxRead(addr uint64) (uint64, Outcome) {
 }
 
 // TxWrite performs a transactional store into the speculative buffer.
-// Self-bracketed in an ordered section on the accessed line.
+// Atomic at this processor's (cycle, id) schedule slot.
 func (p *Proc) TxWrite(addr, val uint64) Outcome {
-	p.sp.EnterOrdered(mem.LineOf(addr))
-	defer p.sp.ExitOrdered()
 	out := p.access(addr, true, true)
 	if out.Kind != OK {
 		return out
@@ -594,11 +556,9 @@ func (p *Proc) TxWrite(addr, val uint64) Outcome {
 	return okOutcome
 }
 
-// NTRead performs a non-transactional load. Self-bracketed in an
-// ordered section on the accessed line.
+// NTRead performs a non-transactional load, atomic at this processor's
+// (cycle, id) schedule slot.
 func (p *Proc) NTRead(addr uint64) (uint64, Outcome) {
-	p.sp.EnterOrdered(mem.LineOf(addr))
-	defer p.sp.ExitOrdered()
 	out := p.access(addr, false, false)
 	if out.Kind != OK {
 		return 0, out
@@ -606,11 +566,9 @@ func (p *Proc) NTRead(addr uint64) (uint64, Outcome) {
 	return p.m.Mem.Read64(addr), okOutcome
 }
 
-// NTWrite performs a non-transactional store. Self-bracketed in an
-// ordered section on the accessed line.
+// NTWrite performs a non-transactional store, atomic at this processor's
+// (cycle, id) schedule slot.
 func (p *Proc) NTWrite(addr, val uint64) Outcome {
-	p.sp.EnterOrdered(mem.LineOf(addr))
-	defer p.sp.ExitOrdered()
 	out := p.access(addr, true, false)
 	if out.Kind != OK {
 		return out
@@ -627,20 +585,16 @@ func (p *Proc) NTWrite(addr, val uint64) Outcome {
 // and thereby killing any hardware transaction whose footprint includes
 // the line (the BTM/UFO interaction of Section 4.3). Under the
 // TrueConflictUFOKills limit study only genuinely conflicting
-// transactions are killed. Self-bracketed in an ordered section on the
-// protected line.
+// transactions are killed. Atomic at this processor's (cycle, id)
+// schedule slot.
 func (p *Proc) SetUFO(addr uint64, bits mem.UFOBits) {
-	p.sp.EnterOrdered(mem.LineOf(addr))
-	defer p.sp.ExitOrdered()
 	p.ufoUpdate(addr, func() { p.m.Mem.SetUFO(addr, bits) }, bits)
 }
 
 // AddUFO ORs protection bits into the line containing addr
-// (add_ufo_bits). Self-bracketed in an ordered section on the protected
-// line, like SetUFO.
+// (add_ufo_bits). Atomic at this processor's (cycle, id) schedule slot,
+// like SetUFO.
 func (p *Proc) AddUFO(addr uint64, bits mem.UFOBits) {
-	p.sp.EnterOrdered(mem.LineOf(addr))
-	defer p.sp.ExitOrdered()
 	p.ufoUpdate(addr, func() { p.m.Mem.AddUFO(addr, bits) }, bits)
 }
 
@@ -712,11 +666,9 @@ func (p *Proc) ufoUpdate(addr uint64, apply func(), bits mem.UFOBits) {
 	p.sp.Elapse(cost)
 }
 
-// ReadUFO returns the line's protection bits (read_ufo_bits).
-// Self-bracketed in an ordered section on the line.
+// ReadUFO returns the line's protection bits (read_ufo_bits) at this
+// processor's (cycle, id) schedule slot.
 func (p *Proc) ReadUFO(addr uint64) mem.UFOBits {
-	p.sp.EnterOrdered(mem.LineOf(addr))
-	defer p.sp.ExitOrdered()
 	p.sp.Elapse(p.m.UFOOpCycles)
 	return p.m.Mem.UFO(addr)
 }

@@ -109,7 +109,7 @@ type Trace struct {
 }
 
 // EnableTrace starts recording up to limit events (most recent kept).
-// Events are appended from inside the machine's ordered operations, so
+// Events are appended by the processor holding the execution token, so
 // the recorded sequence is deterministic and identical under every
 // scheduler. Call EnableTrace itself before Run.
 func (m *Machine) EnableTrace(limit int) *Trace {
@@ -178,10 +178,8 @@ func (p *Proc) record(kind TraceKind, reason AbortReason, addr, age uint64, flag
 }
 
 // RecordSW lets software TMs log their transaction lifecycle into the
-// shared trace. Self-bracketed in an ordered section so trace events
-// land in deterministic schedule order.
+// shared trace. Events land in deterministic schedule order because
+// only the processor holding the execution token records.
 func (p *Proc) RecordSW(kind TraceKind, reason AbortReason, age uint64) {
-	p.sp.EnterOrdered(0)
-	defer p.sp.ExitOrdered()
 	p.record(kind, reason, 0, age, FlagAge)
 }

@@ -22,7 +22,7 @@ type TraceSink interface {
 // AddTraceSink streams every subsequent trace event into sink, in
 // addition to (and independently of) the bounded ring enabled by
 // EnableTrace. Add sinks before Run; the machine never closes them.
-// Sinks are invoked from inside the machine's ordered operations, so
+// Sinks are invoked by the processor holding the execution token, so
 // they see the same deterministic event sequence under every scheduler
 // and need no locking of their own.
 func (m *Machine) AddTraceSink(sink TraceSink) {

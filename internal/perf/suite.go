@@ -79,30 +79,16 @@ func Suite() []Bench {
 		}
 	}
 
-	// Wall-clock comparison for the windowed-parallel scheduler: the same
-	// scalemix cell under the single-token scheduler and under -sched
-	// parallel. Results are bit-identical by construction (the golden and
-	// litmus differential tests enforce it), so the ns/op ratio of these
-	// two entries is purely the host-side speedup from overlapping the
-	// workload's compute across cores. The ratio is hardware-conditional:
-	// on a single-core runner the parallel entry is expected to be slower
-	// (goroutine handoff without any overlap to pay for it); at 8+ cores
-	// it is the scheduler's headline number. Neither entry is gated.
+	// The largest scalemix cell under the single-token engine, the only
+	// one there is; the name keeps pairing with earlier baselines.
+	// Informational, not gated.
 	scaleF := harness.ScaleBenchmark(scale)
 	scaleProcs := harness.ScaleProcCounts(scale)
 	scaleMax := scaleProcs[len(scaleProcs)-1]
-	for _, sch := range []struct {
-		name     string
-		parallel bool
-	}{{"single-token", false}, {"parallel", true}} {
-		sch := sch
-		sopt := opt
-		sopt.Params.ParallelScheduler = sch.parallel
-		benches = append(benches, Bench{
-			Name: fmt.Sprintf("scale/%s/%s/t%d/%s", scaleF.Name, harness.UFOHybrid, scaleMax, sch.name),
-			Op:   func() uint64 { return runCell(harness.UFOHybrid, scaleF, scaleMax, sopt) },
-		})
-	}
+	benches = append(benches, Bench{
+		Name: fmt.Sprintf("scale/%s/%s/t%d/single-token", scaleF.Name, harness.UFOHybrid, scaleMax),
+		Op:   func() uint64 { return runCell(harness.UFOHybrid, scaleF, scaleMax, opt) },
+	})
 
 	// Service-workload entries: the whole small oltp sweep (all three
 	// axes x all systems, the -experiment oltp hot path) plus one

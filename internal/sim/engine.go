@@ -72,7 +72,7 @@ func (s State) String() string {
 // Config holds engine-wide settings. The configuration fully determines
 // the schedule: two runs with equal Config and workloads produce
 // bit-identical step sequences regardless of which scheduler
-// (fast/Reference/Parallel) executes them.
+// (fast or Reference) executes them.
 type Config struct {
 	// Procs is the number of simulated processors.
 	Procs int
@@ -91,17 +91,6 @@ type Config struct {
 	// kept for differential testing of the run-ahead fast path. Simulated
 	// results are bit-identical between the two.
 	Reference bool
-	// Parallel selects the time-windowed parallel scheduler (DESIGN.md
-	// §14): processors run concurrently on real goroutines, free compute
-	// overlaps, and shared-state stretches serialize through ordered
-	// sections in exactly the serial schedulers' (clock, id) step order.
-	// Simulated results are bit-identical to both serial schedulers.
-	// Mutually exclusive with Reference.
-	Parallel bool
-	// WindowCycles is the parallel scheduler's window width in cycles
-	// (zero selects DefaultWindowCycles). Window width only changes
-	// host-side synchronization cadence, never simulated results.
-	WindowCycles uint64
 }
 
 const defaultMaxSteps = 2_000_000_000
@@ -125,10 +114,6 @@ type Engine struct {
 	notDone int
 	doneCh  chan struct{}
 	termMsg string
-
-	// par is the parallel scheduler's state; nil under the serial
-	// schedulers, which makes EnterOrdered/ExitOrdered no-ops there.
-	par *parEngine
 }
 
 // New creates an engine with cfg.Procs processors, all at cycle 0. The
@@ -141,16 +126,6 @@ func New(cfg Config) *Engine {
 	if cfg.MaxSteps == 0 {
 		cfg.MaxSteps = defaultMaxSteps
 	}
-	if cfg.Parallel && cfg.Reference {
-		panic("sim: Config.Parallel and Config.Reference are mutually exclusive")
-	}
-	// The parallel scheduler's grants are sent with its mutex held
-	// (including self-grants), so its park channels must be buffered;
-	// the serial schedulers keep the unbuffered rendezvous handoff.
-	grantBuf := 0
-	if cfg.Parallel {
-		grantBuf = 1
-	}
 	e := &Engine{cfg: cfg}
 	for i := 0; i < cfg.Procs; i++ {
 		e.procs = append(e.procs, &Proc{
@@ -158,7 +133,7 @@ func New(cfg Config) *Engine {
 			eng:     e,
 			state:   Ready,
 			heapIdx: -1,
-			grant:   make(chan struct{}, grantBuf),
+			grant:   make(chan struct{}),
 			yield:   make(chan struct{}),
 			quantum: cfg.Quantum,
 		})
@@ -187,10 +162,6 @@ func (e *Engine) Run(workloads []func(*Proc)) {
 	}
 	if e.cfg.Reference {
 		e.runReference(workloads)
-		return
-	}
-	if e.cfg.Parallel {
-		e.runParallel(workloads)
 		return
 	}
 	e.runFast(workloads)
@@ -308,10 +279,9 @@ func (e *Engine) pick() *Proc {
 }
 
 // Now returns the maximum clock across all processors: the simulated
-// duration of the run so far. Call it between runs (or from the
-// processor holding the execution token); under the parallel scheduler
-// other processors' clocks advance concurrently, so a mid-run reading
-// from outside an ordered section is a racy snapshot.
+// duration of the run so far. Call it between runs or from the
+// processor holding the execution token; either reading is
+// deterministic.
 func (e *Engine) Now() uint64 {
 	var max uint64
 	for _, p := range e.procs {

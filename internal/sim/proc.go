@@ -1,18 +1,13 @@
 package sim
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
 // Proc is one simulated processor. All methods must be called from the
 // workload goroutine that the engine started for this processor (except
 // Wake, which is called by whichever processor is currently running).
-// Under the serial schedulers that discipline alone makes every method
-// race-free; under the parallel scheduler, methods that touch another
-// processor's state (Wake) or shared engine state additionally
-// participate in ordered sections, so the observable schedule stays
-// bit-identical across all three schedulers.
+// Exactly one processor holds the execution token at any instant, so that
+// discipline alone makes every method race-free and serializes every
+// action in (cycle, id) schedule order.
 type Proc struct {
 	id    int
 	eng   *Engine
@@ -20,9 +15,8 @@ type Proc struct {
 	state State
 	note  string // diagnostic label shown in deadlock/livelock dumps
 
-	heapIdx  int    // position in the engine's ready heap, -1 when absent
-	panicVal any    // captured workload panic; written only by this proc's goroutine
-	panicAt  uint64 // clock at panic capture (parallel panic-winner key)
+	heapIdx  int // position in the engine's ready heap, -1 when absent
+	panicVal any // captured workload panic; written only by this proc's goroutine
 
 	grant chan struct{}
 	yield chan struct{} // reference scheduler only
@@ -31,24 +25,14 @@ type Proc struct {
 	nextQuantum  uint64
 	interruptFns []func()
 	fastSkips    uint32
-
-	// Parallel-scheduler state (DESIGN.md §14). pub is the published
-	// frontier other processors order against; parDepth tracks ordered-
-	// section nesting; parLine/parShard locate this processor in the
-	// ordered-entry waiter shards while queued.
-	pub      atomic.Uint64
-	parDepth int
-	parLine  uint64
-	parShard int
 }
 
 // ID returns the processor number. It is immutable, so the read is
-// proc-local and needs no ordered section.
+// proc-local.
 func (p *Proc) ID() int { return p.id }
 
 // Now returns the processor's local clock in cycles. The clock is
-// proc-local (only this processor's goroutine advances it mid-run), so
-// the read needs no ordered section.
+// proc-local: only this processor's goroutine advances it mid-run.
 func (p *Proc) Now() uint64 { return p.now }
 
 // SetNote attaches a diagnostic label that appears in engine state
@@ -68,13 +52,9 @@ func (p *Proc) OnInterrupt(fn func()) {
 // processor with a smaller clock can run. It fires timer-interrupt hooks
 // for every quantum boundary crossed. Elapse is the only scheduling
 // point: the engine's deterministic (clock, id) order is defined over
-// the steps Elapse creates, identically under all three schedulers.
+// the steps Elapse creates, identically under both schedulers.
 func (p *Proc) Elapse(cycles uint64) {
 	p.now += cycles
-	if p.eng.cfg.Parallel {
-		p.parElapse() // fires quantum hooks inside an ordered section
-		return
-	}
 	if p.quantum > 0 {
 		if p.nextQuantum == 0 {
 			p.nextQuantum = p.quantum
@@ -116,10 +96,6 @@ func (p *Proc) Elapse(cycles uint64) {
 // caller resumes inside Block once woken; no cycles elapse while blocked
 // (the waker's Wake advances the sleeper's clock to the wake time).
 func (p *Proc) Block() {
-	if p.eng.cfg.Parallel {
-		p.parBlock()
-		return
-	}
 	p.state = Blocked
 	if p.eng.cfg.Reference {
 		p.refYield()
@@ -131,17 +107,12 @@ func (p *Proc) Block() {
 // Wake makes a blocked processor runnable again, advancing its clock to
 // the waker's current time (it cannot resume in the past). Waking a
 // processor that is not blocked is a no-op, so wakeups compose benignly
-// with the sleeper deciding to block. Wake mutates the target's state, so
-// under the parallel scheduler it runs inside an ordered section
-// (parWake), keeping the wake deterministic in (clock, id) step order.
-// On the fast path the woken processor
-// enters the ready heap, which lowers the horizon so the waker yields at
-// its next Elapse if the sleeper now precedes it.
+// with the sleeper deciding to block. Wake mutates the target's state
+// while the waker holds the execution token, so the wake is deterministic
+// in (clock, id) step order. On the fast path the woken processor enters
+// the ready heap, which lowers the horizon so the waker yields at its
+// next Elapse if the sleeper now precedes it.
 func (p *Proc) Wake(target *Proc) {
-	if p.eng.cfg.Parallel {
-		p.parWake(target)
-		return
-	}
 	if target.state != Blocked {
 		return
 	}

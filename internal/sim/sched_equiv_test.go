@@ -5,15 +5,10 @@ import (
 	"testing"
 )
 
-// These tests pin the run-ahead fast path (DESIGN.md §12) and the
-// time-windowed parallel scheduler (DESIGN.md §14) to the retained
-// reference scheduler (Config.Reference): all must produce exactly the
-// same step sequence — the interleaving of (processor, clock) pairs across
-// every scheduling point — on the same script. The serial schedulers
-// serialize execution outright; under the parallel scheduler the scripts
-// bracket every shared-state action in EnterOrdered/ExitOrdered (no-ops in
-// the serial modes), which is exactly the contract the machine layers
-// follow.
+// These tests pin the run-ahead fast path (DESIGN.md §12) to the
+// retained reference scheduler (Config.Reference): both must produce
+// exactly the same step sequence — the interleaving of (processor, clock)
+// pairs across every scheduling point — on the same script.
 
 type step struct {
 	id  int
@@ -21,25 +16,13 @@ type step struct {
 }
 
 // schedConfigs enumerates the scheduler implementations under test on top
-// of base. The reference scheduler is the executable specification; the
-// parallel entries include stress window widths (1 cycle forces a barrier
-// crossing at nearly every elapse) because window width must never affect
-// the schedule.
+// of base. The reference scheduler is the executable specification.
 func schedConfigs(base Config) map[string]Config {
 	ref := base
 	ref.Reference = true
-	par := base
-	par.Parallel = true
-	parW1 := par
-	parW1.WindowCycles = 1
-	parW7 := par
-	parW7.WindowCycles = 7
 	return map[string]Config{
-		"fast":        base,
-		"reference":   ref,
-		"parallel":    par,
-		"parallel-w1": parW1,
-		"parallel-w7": parW7,
+		"fast":      base,
+		"reference": ref,
 	}
 }
 
@@ -67,11 +50,7 @@ func TestScheduleTraceEquivalenceFixedScript(t *testing.T) {
 		cfg.Procs, cfg.Quantum = 3, 64
 		e := New(cfg)
 		var trace []step
-		at := func(p *Proc) {
-			p.EnterOrdered(0)
-			trace = append(trace, step{p.ID(), p.Now()})
-			p.ExitOrdered()
-		}
+		at := func(p *Proc) { trace = append(trace, step{p.ID(), p.Now()}) }
 		sleeper := e.Proc(2)
 		e.Run([]func(*Proc){
 			func(p *Proc) {
@@ -151,11 +130,9 @@ func runRandomScript(cfg Config, procs int, quantum, seed uint64) []step {
 		r := NewRand(seed + uint64(i)*1_000_003)
 		ws[i] = func(p *Proc) {
 			for op := 0; op < scriptOps; op++ {
-				p.EnterOrdered(0)
 				trace = append(trace, step{p.ID(), p.Now()})
 				switch k := r.Intn(10); {
 				case k < 6:
-					p.ExitOrdered()
 					p.Elapse(uint64(r.Intn(50))) // includes 0: exercises ID tie-breaks
 				case k < 8:
 					if len(sleepers) > 0 {
@@ -164,28 +141,23 @@ func runRandomScript(cfg Config, procs int, quantum, seed uint64) []step {
 						sleepers = append(sleepers[:idx], sleepers[idx+1:]...)
 						active++
 						p.Wake(target)
-						p.ExitOrdered()
 						p.Elapse(1)
 					} else {
-						p.ExitOrdered()
 						p.Elapse(3)
 					}
 				default:
 					if active > 1 {
 						active--
 						sleepers = append(sleepers, p)
-						p.Block()
-						// A waker removed us from sleepers and restored
+						// A waker removes us from sleepers and restores
 						// the active count before calling Wake.
-						p.ExitOrdered()
+						p.Block()
 					} else {
-						p.ExitOrdered()
 						p.Elapse(7)
 					}
 				}
 			}
 			// Strand no one: the finishing processor wakes every sleeper.
-			p.EnterOrdered(0)
 			active--
 			for len(sleepers) > 0 {
 				target := sleepers[0]
@@ -193,11 +165,126 @@ func runRandomScript(cfg Config, procs int, quantum, seed uint64) []step {
 				active++
 				p.Wake(target)
 			}
-			p.ExitOrdered()
 		}
 	}
 	e.Run(ws)
 	return trace
+}
+
+// TestScheduleTraceEquivalenceEdgeCases pins the fast path to the
+// reference scheduler on scripts whose critical event lands on a clock
+// tie: equal clocks decided by ID, a wake delivered at the waker's
+// current clock, a same-cycle shared write, and a long sleep.
+func TestScheduleTraceEquivalenceEdgeCases(t *testing.T) {
+	cases := []struct {
+		name   string
+		script func(e *Engine, at func(*Proc), trace *[]step) []func(*Proc)
+	}{
+		{
+			// Both processors reach cycle 10 and later cycle 21 together.
+			name: "ties at equal clocks",
+			script: func(e *Engine, at func(*Proc), trace *[]step) []func(*Proc) {
+				return []func(*Proc){
+					func(p *Proc) {
+						at(p)
+						p.Elapse(10)
+						at(p)
+						p.Elapse(11)
+						at(p)
+					},
+					func(p *Proc) {
+						at(p)
+						p.Elapse(10)
+						at(p)
+						p.Elapse(11)
+						at(p)
+					},
+				}
+			},
+		},
+		{
+			// The sleeper resumes at the waker's clock and must run after
+			// the waker only if its ID says so.
+			name: "wake at the waker clock",
+			script: func(e *Engine, at func(*Proc), trace *[]step) []func(*Proc) {
+				sleeper := e.Proc(1)
+				return []func(*Proc){
+					func(p *Proc) {
+						at(p)
+						p.Elapse(10)
+						at(p)
+						p.Wake(sleeper)
+						p.Elapse(5)
+						at(p)
+					},
+					func(p *Proc) {
+						at(p)
+						p.Block()
+						at(p)
+						p.Elapse(2)
+						at(p)
+					},
+				}
+			},
+		},
+		{
+			// Proc 0 sets a flag at cycle 10 and proc 1 reads it at cycle
+			// 10: the (cycle, id) order decides that the write comes first.
+			name: "same-cycle shared write",
+			script: func(e *Engine, at func(*Proc), trace *[]step) []func(*Proc) {
+				var killed int
+				return []func(*Proc){
+					func(p *Proc) {
+						p.Elapse(10)
+						killed = 1
+						at(p)
+						p.Elapse(1)
+					},
+					func(p *Proc) {
+						p.Elapse(10)
+						*trace = append(*trace, step{100 + killed, p.Now()})
+						at(p)
+						p.Elapse(1)
+					},
+				}
+			},
+		},
+		{
+			// A processor sleeps while the other runs far ahead.
+			name: "long sleep then wake",
+			script: func(e *Engine, at func(*Proc), trace *[]step) []func(*Proc) {
+				sleeper := e.Proc(1)
+				return []func(*Proc){
+					func(p *Proc) {
+						at(p)
+						p.Elapse(40)
+						at(p)
+						p.Wake(sleeper)
+						p.Elapse(1)
+						at(p)
+					},
+					func(p *Proc) {
+						at(p)
+						p.Block()
+						at(p)
+					},
+				}
+			},
+		},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			run := func(cfg Config) []step {
+				cfg.Procs = 2
+				e := New(cfg)
+				var trace []step
+				at := func(p *Proc) { trace = append(trace, step{p.ID(), p.Now()}) }
+				e.Run(c.script(e, at, &trace))
+				return trace
+			}
+			diffTraces(t, run(Config{}), run(Config{Reference: true}), c.name)
+		})
+	}
 }
 
 // TestSchedulerFinalClocksMatch double-checks the cheap invariants beyond

@@ -113,8 +113,6 @@ func (mgr *Manager) Exec(p *machine.Proc) *Exec {
 // accesses shared data only through the provided accessor and must be
 // safe to re-execute (attempts can abort).
 func (e *Exec) Critical(l Lock, body func(Mem)) {
-	e.p.BeginOrdered(l.addr)
-	defer e.p.EndOrdered()
 	st := e.mgr.locks[l.addr]
 	cmgr := e.mgr.CM()
 	id := uint64(e.p.ID())<<32 | e.seq

@@ -8,16 +8,14 @@ import (
 
 // ScaleMix is the scaling-study workload behind `tmsim -experiment
 // scale`: compute-heavy, low-contention, and sized for the 64/128/256
-// simulated-processor sweeps the windowed-parallel scheduler (DESIGN.md
-// §14) exists for. Each thread's share of the work is dominated by real
-// host-side computation (a hash chain whose digest the run commits and
-// Validate recomputes, so it cannot be optimized away) charged to
-// simulated time via Elapse; transactions are short and touch mostly
-// per-thread lines, with a shared counter bumped every SharePeriod
-// iterations to keep the coherence machinery honest. Host computation
-// between TM operations is exactly what the parallel scheduler overlaps
-// across cores, so this workload is also the wall-clock benchmark for
-// that scheduler.
+// simulated-processor sweeps. Each thread's share of the work is
+// dominated by real host-side computation (a hash chain whose digest the
+// run commits and Validate recomputes, so it cannot be optimized away)
+// charged to simulated time via Elapse; transactions are short and touch
+// mostly per-thread lines, with a shared counter bumped every
+// SharePeriod iterations to keep the coherence machinery honest. With
+// hundreds of procs and cheap transactions, the engine's ready heap and
+// proc handoff dominate its wall clock.
 //
 // Like every workload in this package, total work is fixed independent
 // of the thread count, so simulated speedups over the sequential

@@ -106,7 +106,7 @@ func (s *System) Name() string { return "tl2" }
 func (s *System) Stats() *tm.Stats { return &s.stats }
 
 // Exec implements tm.System.
-func (s *System) Exec(p *machine.Proc) tm.Exec { return tm.Ordered(&exec{s: s, p: p}) }
+func (s *System) Exec(p *machine.Proc) tm.Exec { return &exec{s: s, p: p} }
 
 func (s *System) stripeOf(addr uint64) uint64 {
 	return (mem.LineOf(addr) * 0x9E3779B97F4A7C15 >> 19) & s.mask

@@ -100,52 +100,6 @@ type Exec interface {
 	Proc() *machine.Proc
 }
 
-// Ordered wraps an execution context so that Atomic, Load, and Store each
-// run inside one machine ordered section (machine.Proc.BeginOrdered).
-// Under the serial schedulers the brackets are no-ops; under the parallel
-// scheduler they guarantee that a TM implementation's host-side shared
-// state (statistics, lock tables, ownership maps) is only ever touched by
-// the processor holding the global (cycle, id) minimum — i.e. in exactly
-// the order the serial schedulers would have produced. Every System.Exec
-// in this module returns an Ordered-wrapped context, so workloads need no
-// brackets of their own around TM operations.
-func Ordered(ex Exec) Exec { return orderedExec{inner: ex} }
-
-type orderedExec struct{ inner Exec }
-
-func (o orderedExec) Atomic(body func(Tx)) {
-	p := o.inner.Proc()
-	p.BeginOrdered(0)
-	defer p.EndOrdered()
-	o.inner.Atomic(body)
-}
-
-func (o orderedExec) Load(addr uint64) uint64 {
-	p := o.inner.Proc()
-	p.BeginOrdered(addr)
-	defer p.EndOrdered()
-	return o.inner.Load(addr)
-}
-
-func (o orderedExec) Store(addr, val uint64) {
-	p := o.inner.Proc()
-	p.BeginOrdered(addr)
-	defer p.EndOrdered()
-	o.inner.Store(addr, val)
-}
-
-func (o orderedExec) Proc() *machine.Proc { return o.inner.Proc() }
-
-// Unwrap returns the execution context inside an Ordered wrapper (used by
-// in-package tests that reach into system internals); other contexts are
-// returned unchanged.
-func Unwrap(ex Exec) Exec {
-	if o, ok := ex.(orderedExec); ok {
-		return o.inner
-	}
-	return ex
-}
-
 // System is a transactional memory implementation bound to one machine.
 type System interface {
 	// Name identifies the system in reports ("ufo-hybrid", "hytm", ...).

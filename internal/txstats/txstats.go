@@ -20,7 +20,7 @@
 // Recorder implements machine.TxRecorder (the machine defines the
 // interface so the dependency points outward; attach with
 // Machine.SetTxRecorder). Aggregation is deterministic: the engine
-// serializes the hooks in ordered sections, and Report freezes every
+// runs the hooks in (cycle, id) step order, and Report freezes every
 // accumulator into declaration-ordered or sorted slices, so equal runs
 // produce byte-identical reports.
 package txstats

@@ -128,7 +128,7 @@ func (s *STM) Thread(p *machine.Proc) *Thread {
 
 // Exec implements tm.System.
 func (s *STM) Exec(p *machine.Proc) tm.Exec {
-	return tm.Ordered(&exec{t: s.Thread(p)})
+	return &exec{t: s.Thread(p)}
 }
 
 // RowAddr exposes the simulated address of the otable row covering line;
