@@ -38,7 +38,7 @@ func (t *HWTx) Footprint() int {
 
 // Proc is one simulated processor plus its private L1 and transactional
 // state. All methods must be called from the processor's own workload
-// goroutine, except where noted. Only the processor holding the engine's
+// coroutine, except where noted. Only the processor holding the engine's
 // execution token runs, so every method that touches shared machine
 // state executes at this processor's (cycle, id) slot of the
 // deterministic schedule under both schedulers; methods documented as

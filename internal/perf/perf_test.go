@@ -107,8 +107,10 @@ func TestSuiteSmoke(t *testing.T) {
 	if _, ok := byName[GateBenchmark]; !ok {
 		t.Fatalf("suite lacks the gate benchmark %q", GateBenchmark)
 	}
-	if cycles := byName["engine/handoff/t2"].Op(); cycles == 0 {
-		t.Fatal("engine benchmark reported zero simulated cycles")
+	for _, name := range []string{"engine/handoff/t2", "engine/handoff/t256"} {
+		if cycles := byName[name].Op(); cycles == 0 {
+			t.Fatalf("%s reported zero simulated cycles", name)
+		}
 	}
 	if cycles := byName["fig5/kmeans-low/tl2/t4"].Op(); cycles == 0 {
 		t.Fatal("cell benchmark reported zero simulated cycles")

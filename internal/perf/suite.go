@@ -24,7 +24,8 @@ func SuiteOptions() harness.Options {
 
 // Suite returns the benchmark suite: the gated full sweep, one
 // workload-x-system cell benchmark per Figure 5 pair (at the largest
-// small-scale thread count), and the engine handoff microbenchmark.
+// small-scale thread count), and the engine handoff microbenchmarks at
+// 2 and 256 procs.
 func Suite() []Bench {
 	opt := SuiteOptions()
 	scale := harness.ScaleSmall
@@ -121,21 +122,31 @@ func Suite() []Bench {
 		})
 	}
 
-	benches = append(benches, Bench{
-		Name: "engine/handoff/t2",
-		Op: func() uint64 {
-			const steps = 200_000
-			e := sim.New(sim.Config{Procs: 2, MaxSteps: 1 << 62})
-			body := func(p *sim.Proc) {
-				for i := 0; i < steps; i++ {
-					p.Elapse(1)
-				}
-			}
-			e.Run([]func(*sim.Proc){body, body})
-			return e.Now()
-		},
-	})
+	// The engine handoff with procs in lockstep, so every Elapse crosses
+	// the horizon and hands the token on: two procs of 200,000 Elapse
+	// calls each, and 256 procs sharing 200,000 calls, as the repository
+	// benchmark's sim.handoff256_ns probe runs them.
+	benches = append(benches,
+		Bench{Name: "engine/handoff/t2", Op: func() uint64 { return handoff(2, 200_000) }},
+		Bench{Name: "engine/handoff/t256", Op: func() uint64 { return handoff(256, 200_000/256) }},
+	)
 	return benches
+}
+
+// handoff runs procs simulated procs of perProc Elapse(1) calls each and
+// returns the simulated cycles.
+func handoff(procs, perProc int) uint64 {
+	e := sim.New(sim.Config{Procs: procs, MaxSteps: 1 << 62})
+	ws := make([]func(*sim.Proc), procs)
+	for i := range ws {
+		ws[i] = func(p *sim.Proc) {
+			for k := 0; k < perProc; k++ {
+				p.Elapse(1)
+			}
+		}
+	}
+	e.Run(ws)
+	return e.Now()
 }
 
 func runCell(sys harness.SystemKind, f harness.WorkloadFactory, threads int, opt harness.Options) uint64 {

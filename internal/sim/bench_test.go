@@ -30,7 +30,7 @@ func BenchmarkElapseTwoProcs(b *testing.B) {
 
 // BenchmarkElapseFastPath measures run-ahead Elapse calls that never
 // cross the horizon: many procs exist, but one runs far behind the rest,
-// so every call stays inline (no goroutine handoff).
+// so every call stays inline (no coroutine switch).
 func BenchmarkElapseFastPath(b *testing.B) {
 	e := New(Config{Procs: 4, MaxSteps: 1 << 62})
 	parked := func(p *Proc) {
@@ -51,7 +51,7 @@ func BenchmarkElapseFastPath(b *testing.B) {
 
 // BenchmarkElapseContended measures the worst case for the scheduler: all
 // procs advance in lockstep, so every Elapse crosses the horizon and pays
-// a heap push/pop plus a goroutine handoff.
+// a heap push/pop plus a coroutine handoff through the engine loop.
 func BenchmarkElapseContended(b *testing.B) {
 	for _, procs := range []int{2, 8, 32} {
 		b.Run(benchName(procs), func(b *testing.B) {

@@ -1,14 +1,17 @@
+//go:build go1.23
+
 // Package sim provides a deterministic, execution-driven multiprocessor
 // simulation engine, the foundation of the paper's §5.1 simulation
 // methodology.
 //
-// Each simulated processor runs its workload on a dedicated goroutine, but
-// the engine globally serializes execution: exactly one processor goroutine
-// runs at any instant, and the engine always resumes the runnable processor
-// with the smallest local clock (ties broken by processor ID). Memory
-// operations performed by the layers above are therefore atomic at their
-// timestamp, interleavings are bit-reproducible for a given configuration,
-// and no locking is needed anywhere in the simulated machine.
+// Each simulated processor runs its workload as a coroutine (iter.Pull),
+// and one engine loop in Run resumes them one at a time: exactly one
+// processor runs at any instant, and the engine always resumes the
+// runnable processor with the smallest local clock (ties broken by
+// processor ID). Memory operations performed by the layers above are
+// therefore atomic at their timestamp, interleavings are bit-reproducible
+// for a given configuration, and no locking is needed anywhere in the
+// simulated machine.
 //
 // Time is measured in cycles. Workload code advances its processor's clock
 // with Proc.Elapse, which is also the engine's only scheduling point: a
@@ -23,13 +26,11 @@
 // indexed min-heap ordered by (clock, id); the heap minimum is the
 // "horizon" — the earliest instant at which any other processor could be
 // entitled to run. The executing processor compares its clock against the
-// horizon on every Elapse and keeps executing inline, with zero channel
-// operations, for as long as it remains the strict (clock, id) minimum.
-// Only when its clock crosses the horizon does it take the slow path:
-// push itself back into the heap, pop the new minimum, and hand the
-// execution token directly to that processor's goroutine (the engine
-// goroutine in Run only participates at startup and termination). The
-// schedule this produces is exactly the one the naive
+// horizon on every Elapse and keeps executing inline, without leaving its
+// coroutine, for as long as it remains the strict (clock, id) minimum.
+// Only when its clock crosses the horizon does it yield back to the engine
+// loop, which pushes it into the heap, pops the new minimum and resumes
+// that processor. The schedule this produces is exactly the one the naive
 // pick-the-global-minimum-every-Elapse scheduler produces; the retained
 // reference implementation (Config.Reference) is the executable
 // specification, and differential tests pin the two to identical step
@@ -38,6 +39,7 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"sort"
 	"strings"
 )
@@ -85,7 +87,7 @@ type Config struct {
 	// default.
 	MaxSteps uint64
 	// Reference selects the retained reference scheduler: every Elapse
-	// yields to the engine goroutine, which re-picks the minimum
+	// yields to the engine loop, which re-picks the minimum
 	// (clock, id) processor by linear scan. It is the executable
 	// specification of the scheduling order — slow but obviously correct —
 	// kept for differential testing of the run-ahead fast path. Simulated
@@ -97,23 +99,19 @@ const defaultMaxSteps = 2_000_000_000
 
 // Engine owns the simulated processors and the global clock ordering.
 type Engine struct {
-	cfg      Config
-	procs    []*Proc
-	steps    uint64
-	panicked any
+	cfg   Config
+	procs []*Proc
+	steps uint64
 
 	// Fast-path scheduler state. ready holds every Ready processor that
 	// is not currently executing, ordered by (clock, id); ready[0] is the
 	// run-ahead horizon. Entries never change their key while in the heap
 	// (only the executing processor advances its own clock, and Wake bumps
 	// a sleeper's clock before pushing it), so the heap needs push and pop
-	// but never a decrease-key. All of this state is owned by whichever
-	// goroutine currently holds the execution token; token handoffs are
-	// channel-synchronized, so no locking is needed.
-	ready   []*Proc
-	notDone int
-	doneCh  chan struct{}
-	termMsg string
+	// but never a decrease-key. Only the executing processor and the
+	// engine loop touch it, never at the same time, so no locking is
+	// needed.
+	ready []*Proc
 }
 
 // New creates an engine with cfg.Procs processors, all at cycle 0. The
@@ -133,8 +131,6 @@ func New(cfg Config) *Engine {
 			eng:     e,
 			state:   Ready,
 			heapIdx: -1,
-			grant:   make(chan struct{}),
-			yield:   make(chan struct{}),
 			quantum: cfg.Quantum,
 		})
 	}
@@ -154,126 +150,75 @@ func (e *Engine) Proc(id int) *Proc { return e.procs[id] }
 // must equal the processor count. Run panics (with a state dump) if all
 // unfinished processors are blocked, which would otherwise deadlock, or if
 // the step budget is exhausted, which indicates livelock. A workload panic
-// is captured by the panicking processor (first panic in schedule order
-// wins, deterministically) and re-raised from Run.
+// leaves its coroutine and is re-raised from Run with the same value; the
+// engine stops at the first one, so the first panic in schedule order
+// wins, deterministically. When Run ends early, it stops the coroutine of
+// every processor still suspended, which then runs no further workload
+// code.
 func (e *Engine) Run(workloads []func(*Proc)) {
 	if len(workloads) != len(e.procs) {
 		panic(fmt.Sprintf("sim: %d workloads for %d processors", len(workloads), len(e.procs)))
 	}
-	if e.cfg.Reference {
-		e.runReference(workloads)
-		return
-	}
-	e.runFast(workloads)
-}
-
-// runFast is the run-ahead scheduler. The engine goroutine seeds the heap,
-// grants the first processor, and then parks until the processors —
-// passing the execution token directly among themselves — signal
-// termination (all done, deadlock, livelock, or a workload panic).
-func (e *Engine) runFast(workloads []func(*Proc)) {
-	e.doneCh = make(chan struct{})
-	e.termMsg = ""
-	e.notDone = 0
+	ref := e.cfg.Reference
 	e.ready = e.ready[:0]
-	for _, p := range e.procs {
-		if p.state != Done {
-			e.notDone++
-		}
-		if p.state == Ready {
+	for i, w := range workloads {
+		p := e.procs[i]
+		var stop func()
+		p.resume, stop = iter.Pull(p.coroutine(w))
+		defer stop()
+		if p.state == Ready && !ref {
 			e.heapPush(p)
 		}
 	}
-	for i, w := range workloads {
-		p, body := e.procs[i], w
-		go func() {
-			defer p.finish()
-			<-p.grant
-			body(p)
-		}()
+	if !ref && len(e.ready) > 0 {
+		e.steps++ // the first resume
 	}
-	first := e.heapPop()
-	if first == nil {
-		if e.notDone == 0 {
-			return
+	for {
+		var p *Proc
+		if ref {
+			if p = e.pick(); p != nil {
+				e.step()
+			}
+		} else {
+			p = e.heapPop()
 		}
-		panic("sim: deadlock — all unfinished processors are blocked\n" + e.dump())
+		if p == nil {
+			break
+		}
+		if _, ok := p.resume(); !ok {
+			p.state = Done
+		}
+		if !ref {
+			e.step()
+			if p.state == Ready {
+				e.heapPush(p)
+			}
+		}
 	}
-	e.steps++
-	first.grant <- struct{}{}
-	<-e.doneCh
-	if e.panicked != nil {
-		panic(e.panicked)
-	}
-	if e.termMsg != "" {
-		panic(e.termMsg)
+	for _, p := range e.procs {
+		if p.state != Done {
+			panic("sim: deadlock — all unfinished processors are blocked\n" + e.dump())
+		}
 	}
 }
 
-// runReference is the retained reference scheduler: the engine goroutine
-// re-picks the minimum (clock, id) ready processor by linear scan after
-// every single Elapse, paying two channel handoffs per scheduling step.
-func (e *Engine) runReference(workloads []func(*Proc)) {
-	for i, w := range workloads {
-		p, body := e.procs[i], w
-		go func() {
-			defer func() {
-				// Workload panics are captured per processor; only the
-				// engine goroutine promotes one to e.panicked, so the
-				// capture is single-writer and first-in-schedule-order.
-				if r := recover(); r != nil {
-					p.panicVal = r
-				}
-				p.state = Done
-				p.yield <- struct{}{}
-			}()
-			<-p.grant
-			body(p)
-		}()
-	}
-	for {
-		p := e.pick()
-		if p == nil {
-			return
-		}
-		e.steps++
-		if e.steps > e.cfg.MaxSteps {
-			panic("sim: step budget exhausted (livelock?)\n" + e.dump())
-		}
-		p.grant <- struct{}{}
-		<-p.yield
-		if p.state == Done && p.panicVal != nil {
-			if e.panicked == nil {
-				e.panicked = p.panicVal
-			}
-			panic(e.panicked)
-		}
+// step counts one scheduling step and enforces the step budget.
+func (e *Engine) step() {
+	e.steps++
+	if e.steps > e.cfg.MaxSteps {
+		panic("sim: step budget exhausted (livelock?)\n" + e.dump())
 	}
 }
 
 // pick returns the ready processor with the smallest clock (ties broken by
-// ID), nil if every processor is done, and panics on deadlock. It is the
-// reference scheduler's O(n) selection; the fast path replaces it with the
-// ready heap.
+// ID), or nil if none is ready. It is the reference scheduler's O(n)
+// selection; the fast path replaces it with the ready heap.
 func (e *Engine) pick() *Proc {
 	var best *Proc
-	allDone := true
 	for _, p := range e.procs {
-		if p.state != Done {
-			allDone = false
-		}
-		if p.state != Ready {
-			continue
-		}
-		if best == nil || p.now < best.now {
+		if p.state == Ready && (best == nil || p.now < best.now) {
 			best = p
 		}
-	}
-	if best == nil {
-		if allDone {
-			return nil
-		}
-		panic("sim: deadlock — all unfinished processors are blocked\n" + e.dump())
 	}
 	return best
 }
@@ -292,7 +237,10 @@ func (e *Engine) Now() uint64 {
 	return max
 }
 
-// Steps reports how many scheduling steps the engine has performed.
+// Steps reports how many scheduling steps the engine has performed: on
+// the fast path one for the first resume, one for every yield or finish
+// and one per 1024 inline Elapse calls; under Reference one for every
+// resume. The count is a pure function of the schedule.
 func (e *Engine) Steps() uint64 { return e.steps }
 
 func (e *Engine) dump() string {

@@ -125,24 +125,28 @@ func TestDeadlockPanics(t *testing.T) {
 }
 
 func TestLivelockWatchdog(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected watchdog panic")
-		}
-	}()
+	// Two procs in lockstep hand the token on at every Elapse, so the
+	// engine loop counts each yield and trips on step MaxSteps+1, with
+	// each proc 499 Elapse calls done and inside its 500th.
 	e := New(Config{Procs: 2, MaxSteps: 1000})
-	e.Run([]func(*Proc){
-		func(p *Proc) {
+	var done [2]int
+	func() {
+		defer func() {
+			if r, _ := recover().(string); !strings.HasPrefix(r, "sim: step budget exhausted") {
+				t.Fatalf("expected watchdog panic, got %q", r)
+			}
+		}()
+		spin := func(p *Proc) {
 			for {
 				p.Elapse(1)
+				done[p.ID()]++
 			}
-		},
-		func(p *Proc) {
-			for {
-				p.Elapse(1)
-			}
-		},
-	})
+		}
+		e.Run([]func(*Proc){spin, spin})
+	}()
+	if e.Steps() != 1001 || done != [2]int{499, 499} {
+		t.Fatalf("watchdog tripped at step %d after %v Elapse calls, want step 1001 after [499 499]", e.Steps(), done)
+	}
 }
 
 func TestQuantumInterrupts(t *testing.T) {

@@ -3,7 +3,7 @@ package sim
 import "fmt"
 
 // Proc is one simulated processor. All methods must be called from the
-// workload goroutine that the engine started for this processor (except
+// workload coroutine that the engine started for this processor (except
 // Wake, which is called by whichever processor is currently running).
 // Exactly one processor holds the execution token at any instant, so that
 // discipline alone makes every method race-free and serializes every
@@ -15,11 +15,12 @@ type Proc struct {
 	state State
 	note  string // diagnostic label shown in deadlock/livelock dumps
 
-	heapIdx  int // position in the engine's ready heap, -1 when absent
-	panicVal any // captured workload panic; written only by this proc's goroutine
+	heapIdx int // position in the engine's ready heap, -1 when absent
 
-	grant chan struct{}
-	yield chan struct{} // reference scheduler only
+	// The workload coroutine: the engine loop calls resume to run this
+	// processor, and the workload hands the token back by calling yield.
+	resume func() (struct{}, bool)
+	yield  func(struct{}) bool
 
 	quantum      uint64
 	nextQuantum  uint64
@@ -32,7 +33,7 @@ type Proc struct {
 func (p *Proc) ID() int { return p.id }
 
 // Now returns the processor's local clock in cycles. The clock is
-// proc-local: only this processor's goroutine advances it mid-run.
+// proc-local: only this processor's coroutine advances it mid-run.
 func (p *Proc) Now() uint64 { return p.now }
 
 // SetNote attaches a diagnostic label that appears in engine state
@@ -41,7 +42,7 @@ func (p *Proc) SetNote(format string, args ...any) {
 	p.note = fmt.Sprintf(format, args...)
 }
 
-// OnInterrupt registers fn to run (on the workload goroutine, during
+// OnInterrupt registers fn to run (on the workload coroutine, during
 // Elapse) every time this processor's clock crosses a scheduling-quantum
 // boundary. The TM layers use this to model timer-interrupt aborts.
 func (p *Proc) OnInterrupt(fn func()) {
@@ -66,29 +67,23 @@ func (p *Proc) Elapse(cycles uint64) {
 			}
 		}
 	}
+	// The reference scheduler yields on every Elapse. On the run-ahead
+	// fast path, while this processor stays strictly before the horizon in
+	// (clock, id) order it is still the engine's unique next pick, so it
+	// keeps executing inline without leaving its coroutine. (The horizon
+	// can only have moved earlier through this processor's own actions —
+	// Wake, interrupt hooks — all of which happened above or before its
+	// last yield, so the comparison is always current.)
 	e := p.eng
-	if e.cfg.Reference {
-		p.refYield()
-		return
-	}
-	// Run-ahead fast path: while this processor stays strictly before the
-	// horizon in (clock, id) order it is still the engine's unique next
-	// pick, so it keeps executing inline with zero channel operations.
-	// (The horizon can only have moved earlier through this processor's
-	// own actions — Wake, interrupt hooks — all of which happened above or
-	// on a previous slow path, so the comparison is always current.)
-	if h := e.horizon(); h != nil && schedBefore(h, p) {
-		p.yieldNext()
+	if h := e.horizon(); e.cfg.Reference || h != nil && schedBefore(h, p) {
+		p.park()
 		return
 	}
 	// Coarse inline step accounting keeps the livelock watchdog counting
 	// while a lone runnable processor spins below the horizon.
 	p.fastSkips++
 	if p.fastSkips&1023 == 0 {
-		e.steps++
-		if e.steps > e.cfg.MaxSteps {
-			panic("sim: step budget exhausted (livelock?)\n" + e.dump())
-		}
+		e.step()
 	}
 }
 
@@ -97,11 +92,7 @@ func (p *Proc) Elapse(cycles uint64) {
 // (the waker's Wake advances the sleeper's clock to the wake time).
 func (p *Proc) Block() {
 	p.state = Blocked
-	if p.eng.cfg.Reference {
-		p.refYield()
-		return
-	}
-	p.yieldNext()
+	p.park()
 }
 
 // Wake makes a blocked processor runnable again, advancing its clock to
@@ -125,75 +116,30 @@ func (p *Proc) Wake(target *Proc) {
 	}
 }
 
-// yieldNext is the scheduling slow path: hand the execution token to the
-// next processor in (clock, id) order, or terminate the run. Called when
-// the executing processor crosses the horizon, blocks, or finishes.
-func (p *Proc) yieldNext() {
-	e := p.eng
-	e.steps++
-	if e.steps > e.cfg.MaxSteps {
-		msg := "sim: step budget exhausted (livelock?)\n" + e.dump()
-		if p.state == Done {
-			// Called from finish's defer: a panic here would escape the
-			// goroutine uncaught, so route the diagnostic through Run.
-			e.termMsg = msg
-			close(e.doneCh)
-			return
-		}
-		panic(msg)
-	}
-	// Latch the departing state now: the moment the token is handed to
-	// next, that processor may Wake this one, writing p.state and p.now
-	// concurrently with anything we still read here.
-	parked := p.state != Done
-	if p.state == Ready {
-		e.heapPush(p)
-	}
-	next := e.heapPop()
-	switch {
-	case next == p:
-		// No other ready processor precedes us after all; keep running.
-		return
-	case next != nil:
-		next.grant <- struct{}{}
-	case e.notDone == 0:
-		close(e.doneCh) // every workload returned
-		return
-	default:
-		// No runnable processor but unfinished ones remain: deadlock.
-		e.termMsg = "sim: deadlock — all unfinished processors are blocked\n" + e.dump()
-		close(e.doneCh)
-		// fall through to park this (blocked) processor forever
-	}
-	if parked {
-		<-p.grant
+// stopSignal is the panic value park raises in a coroutine the engine has
+// released; the coroutine wrapper recovers it, so the workload code after
+// the scheduling point never runs.
+type stopSignal struct{}
+
+// park hands the execution token back to the engine loop and returns when
+// the loop resumes this processor.
+func (p *Proc) park() {
+	if !p.yield(struct{}{}) {
+		panic(stopSignal{})
 	}
 }
 
-// finish runs deferred on the workload goroutine. It captures a workload
-// panic into the per-processor slot (each goroutine writes only its own,
-// so capture is race-free), marks the processor Done, and either
-// terminates the run — the first panicking processor in schedule order
-// wins, deterministically, because it holds the execution token and no
-// other processor resumes afterwards — or hands the token onward.
-func (p *Proc) finish() {
-	e := p.eng
-	if r := recover(); r != nil {
-		p.panicVal = r
+// coroutine wraps body as this processor's coroutine, for iter.Pull.
+func (p *Proc) coroutine(body func(*Proc)) func(func(struct{}) bool) {
+	return func(yield func(struct{}) bool) {
+		defer func() {
+			if r := recover(); r != nil {
+				if _, ok := r.(stopSignal); !ok {
+					panic(r)
+				}
+			}
+		}()
+		p.yield = yield
+		body(p)
 	}
-	p.state = Done
-	e.notDone--
-	if p.panicVal != nil {
-		e.panicked = p.panicVal
-		close(e.doneCh)
-		return
-	}
-	p.yieldNext()
-}
-
-// refYield is the reference scheduler's unconditional handoff to the
-// engine goroutine.
-func (p *Proc) refYield() {
-	p.yield <- struct{}{}
-	<-p.grant
 }
