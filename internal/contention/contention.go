@@ -13,11 +13,11 @@
 // profile generalizes those figures from whole-run totals to addresses,
 // processor pairs, and time.
 //
-// Profile implements machine.ConflictRecorder (the machine defines the
-// interface so the dependency points outward; attach with
-// Machine.SetConflictRecorder). Aggregation is deterministic: the engine
-// serializes processors within a run, and Report freezes every map into
-// name/addr-sorted slices, so equal runs produce byte-identical reports.
+// Profile is a machine.Subscriber for the conflict, hw-commit and
+// sw-commit events (attach with m.Subscribe(pr, contention.Kinds...)).
+// Aggregation is deterministic: the engine serializes processors within
+// a run, and Report freezes every map into name/addr-sorted slices, so
+// equal runs produce byte-identical reports.
 package contention
 
 import (
@@ -44,9 +44,9 @@ type windowStat struct {
 }
 
 // Profile is the accumulating side of the attribution subsystem: one per
-// machine run. It implements machine.ConflictRecorder. Like obs.Registry
-// it is not safe for concurrent use — the simulation engine serializes
-// processors, and parallel sweeps give every cell its own Profile.
+// machine run, subscribed to Kinds. Like obs.Registry it is not safe for
+// concurrent use — the simulation engine serializes processors, and
+// parallel sweeps give every cell its own Profile.
 type Profile struct {
 	procs  int
 	window uint64 // time-series window width in cycles; 0 disables the series
@@ -63,7 +63,8 @@ type Profile struct {
 	windows    map[uint64]*windowStat
 }
 
-var _ machine.ConflictRecorder = (*Profile)(nil)
+// Kinds lists the machine events a Profile consumes.
+var Kinds = []machine.TraceKind{machine.TraceConflict, machine.TraceHWCommit, machine.TraceSWCommit}
 
 // New returns an empty profile for a machine with the given processor
 // count. windowCycles sets the time-series window width W (every event at
@@ -81,8 +82,19 @@ func New(procs int, windowCycles uint64) *Profile {
 	}
 }
 
-// RecordEdge implements machine.ConflictRecorder.
-func (pr *Profile) RecordEdge(e machine.ConflictEdge) {
+// Event implements machine.Subscriber: a conflict event is one
+// who-aborted-whom edge (Peer aggressor → Proc victim); hw-commit and
+// sw-commit events count commits for the abort-rate time series.
+func (pr *Profile) Event(e machine.TraceEvent) {
+	switch e.Kind {
+	case machine.TraceConflict:
+		pr.edge(e)
+	case machine.TraceHWCommit, machine.TraceSWCommit:
+		pr.commit(e.Kind == machine.TraceHWCommit, e.Cycle)
+	}
+}
+
+func (pr *Profile) edge(e machine.TraceEvent) {
 	pr.edges++
 	if int(e.Reason) < len(pr.byReason) {
 		pr.byReason[e.Reason]++
@@ -90,16 +102,16 @@ func (pr *Profile) RecordEdge(e machine.ConflictEdge) {
 	if e.SW {
 		pr.swEdges++
 	}
-	agg := e.Aggressor
+	agg := e.Peer
 	if agg >= pr.procs {
 		agg = -1
 	}
-	if agg >= 0 && e.Victim >= 0 && e.Victim < pr.procs {
-		pr.matrix[agg*pr.procs+e.Victim]++
+	if agg >= 0 && e.Proc >= 0 && e.Proc < pr.procs {
+		pr.matrix[agg*pr.procs+e.Proc]++
 	} else {
 		pr.unknownAgg++
 	}
-	if e.HasAddr {
+	if e.HasAddr() {
 		line := mem.LineAddr(mem.LineOf(e.Addr))
 		ls := pr.lines[line]
 		if ls == nil {
@@ -111,7 +123,7 @@ func (pr *Profile) RecordEdge(e machine.ConflictEdge) {
 			ls.byReason[e.Reason]++
 		}
 		ls.aggr[agg]++
-		ls.vict[e.Victim]++
+		ls.vict[e.Proc]++
 	} else {
 		pr.noAddr++
 	}
@@ -127,8 +139,7 @@ func (pr *Profile) RecordEdge(e machine.ConflictEdge) {
 	}
 }
 
-// RecordCommit implements machine.ConflictRecorder.
-func (pr *Profile) RecordCommit(proc int, hw bool, cycle uint64) {
+func (pr *Profile) commit(hw bool, cycle uint64) {
 	if hw {
 		pr.hwCommits++
 	} else {

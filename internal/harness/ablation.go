@@ -3,8 +3,10 @@ package harness
 import (
 	"fmt"
 	"io"
+	"strings"
 
 	"repro/internal/machine"
+	"repro/internal/obs"
 )
 
 // AblationRow is one configuration point in an ablation sweep.
@@ -178,16 +180,53 @@ func (r *Runner) Footprints(opt Options, scale Scale) ([]FootprintRow, error) {
 	return out, err
 }
 
-// PrintFootprints renders the profile.
+// PrintFootprints renders the profile: per workload, the hardware
+// commits' mean and maximum footprint and the share of them in buckets
+// labelled ≤64 lines, plus the software footprint histogram's non-empty
+// buckets. Each bucket is labelled by the smallest footprint it holds.
 func PrintFootprints(w io.Writer, rows []FootprintRow) {
+	lo := func(bucket int) uint64 {
+		if bucket == 0 {
+			return 0
+		}
+		return 1 << (bucket - 1)
+	}
+	mean := func(h *obs.HistSnapshot) float64 {
+		if h.Count == 0 {
+			return 0
+		}
+		return float64(h.Sum) / float64(h.Count)
+	}
 	fmt.Fprintf(w, "\nTransaction footprints on the UFO hybrid (distinct lines per committed tx)\n")
 	fmt.Fprintf(w, "%-14s %9s %9s %8s %8s %8s  %s\n",
 		"workload", "hwCommit", "swCommit", "hwMean", "hwMax", "≤64ln", "swHist")
 	for _, r := range rows {
-		hw := &r.Result.Machine.HWFootprint
-		sw := &r.Result.Machine.SWFootprint
+		hw := r.Result.Machine.HWFootprint.Snapshot()
+		sw := r.Result.Machine.SWFootprint.Snapshot()
+		var upTo64 float64
+		for i, n := range hw.Buckets {
+			if lo(i) <= 64 {
+				upTo64 += float64(n)
+			}
+		}
+		if hw.Count > 0 {
+			upTo64 /= float64(hw.Count)
+		}
+		swHist := "(empty)"
+		if sw.Count > 0 {
+			var sb strings.Builder
+			fmt.Fprintf(&sb, "n=%d mean=%.1f max=%d [", sw.Count, mean(sw), sw.Max)
+			sep := ""
+			for i, n := range sw.Buckets {
+				if n != 0 {
+					fmt.Fprintf(&sb, "%s≤%d:%d", sep, lo(i), n)
+					sep = " "
+				}
+			}
+			sb.WriteString("]")
+			swHist = sb.String()
+		}
 		fmt.Fprintf(w, "%-14s %9d %9d %8.1f %8d %7.0f%%  %s\n",
-			r.Workload, hw.Count, sw.Count, hw.Mean(), hw.Max,
-			hw.FracAtMost(64)*100, sw.String())
+			r.Workload, hw.Count, sw.Count, mean(hw), hw.Max, upTo64*100, swHist)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/contention"
 	"repro/internal/machine"
 	"repro/internal/tm"
 )
@@ -176,16 +177,18 @@ func (c *collider) Validate(m *machine.Machine) error {
 
 // edgeLog captures raw edges for tuple-level validation.
 type edgeLog struct {
-	edges     []machine.ConflictEdge
+	edges     []machine.TraceEvent // conflict events
 	hwCommits uint64
 	swCommits uint64
 }
 
-func (l *edgeLog) RecordEdge(e machine.ConflictEdge) { l.edges = append(l.edges, e) }
-func (l *edgeLog) RecordCommit(proc int, hw bool, cycle uint64) {
-	if hw {
+func (l *edgeLog) Event(e machine.TraceEvent) {
+	switch e.Kind {
+	case machine.TraceConflict:
+		l.edges = append(l.edges, e)
+	case machine.TraceHWCommit:
 		l.hwCommits++
-	} else {
+	case machine.TraceSWCommit:
 		l.swCommits++
 	}
 }
@@ -199,7 +202,7 @@ func runCollider(t *testing.T, kind SystemKind, syscall bool) (*edgeLog, *machin
 	params.Procs = 2
 	m := machine.New(params)
 	log := &edgeLog{}
-	m.SetConflictRecorder(log)
+	m.Subscribe(log, contention.Kinds...)
 	sys := Build(kind, m, opt)
 	wl := &collider{iters: 12, syscall: syscall}
 	wl.Init(m, 2)
@@ -222,10 +225,10 @@ func runCollider(t *testing.T, kind SystemKind, syscall bool) (*edgeLog, *machin
 func checkEdges(t *testing.T, kind SystemKind, log *edgeLog, m *machine.Machine) {
 	t.Helper()
 	for _, e := range log.edges {
-		if e.Victim < 0 || e.Victim >= 2 {
+		if e.Proc < 0 || e.Proc >= 2 {
 			t.Errorf("%s: victim out of range: %+v", kind, e)
 		}
-		if e.Aggressor < -1 || e.Aggressor >= 2 {
+		if e.Peer < -1 || e.Peer >= 2 {
 			t.Errorf("%s: aggressor out of range: %+v", kind, e)
 		}
 		if e.Reason == machine.AbortNone || int(e.Reason) >= machine.NumAbortReasons {
@@ -234,7 +237,7 @@ func checkEdges(t *testing.T, kind SystemKind, log *edgeLog, m *machine.Machine)
 		if e.Cycle == 0 || e.Cycle > m.Cycles() {
 			t.Errorf("%s: cycle outside run: %+v (machine ran %d)", kind, e, m.Cycles())
 		}
-		if e.HasAddr && e.Addr >= m.MemBytes {
+		if e.HasAddr() && e.Addr >= m.MemBytes {
 			t.Errorf("%s: address outside memory: %+v", kind, e)
 		}
 	}
@@ -266,7 +269,7 @@ func TestColliderHWConflictEdges(t *testing.T) {
 	checkEdges(t, UnboundedHTM, log, m)
 	found := false
 	for _, e := range log.edges {
-		if e.Reason == machine.AbortConflict && !e.SW && e.HasAddr {
+		if e.Reason == machine.AbortConflict && !e.SW && e.HasAddr() {
 			found = true
 		}
 	}
@@ -304,7 +307,7 @@ func TestColliderUFOKillEdges(t *testing.T) {
 	checkEdges(t, UFOHybrid, log, m)
 	found := false
 	for _, e := range log.edges {
-		if e.Reason == machine.AbortUFOKill && e.HasAddr {
+		if e.Reason == machine.AbortUFOKill && e.HasAddr() {
 			found = true
 		}
 	}

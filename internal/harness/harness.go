@@ -203,12 +203,12 @@ func Run(kind SystemKind, wl stamp.Workload, threads int, opt Options) Result {
 	var prof *contention.Profile
 	if opt.Contention {
 		prof = contention.New(threads, opt.TimeSeriesWindow)
-		m.SetConflictRecorder(prof)
+		m.Subscribe(prof, contention.Kinds...)
 	}
 	var txrec *txstats.Recorder
 	if opt.TxStats {
 		txrec = txstats.New(threads)
-		m.SetTxRecorder(txrec)
+		m.Subscribe(txrec, txstats.Kinds...)
 	}
 	sys := Build(kind, m, opt)
 	wl.Init(m, threads)
@@ -225,6 +225,9 @@ func Run(kind SystemKind, wl stamp.Workload, threads int, opt Options) Result {
 		ci.CM().Register(reg)
 	}
 	m.RegisterMetrics(reg)
+	if tr != nil {
+		tr.Register(reg)
+	}
 	res := Result{
 		System:   kind,
 		Workload: wl.Name(),

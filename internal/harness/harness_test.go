@@ -59,6 +59,33 @@ func TestPrintParams(t *testing.T) {
 	}
 }
 
+// TestPrintFootprints pins the footprint table's columns: hardware
+// commit count, mean, max and share in buckets labelled ≤64 lines, and
+// the software histogram rendered bucket by bucket (or "(empty)").
+func TestPrintFootprints(t *testing.T) {
+	full := FootprintRow{Workload: "w"}
+	for _, v := range []uint64{0, 3, 200} {
+		full.Result.Machine.HWFootprint.Observe(v)
+	}
+	for _, v := range []uint64{1, 5, 5} {
+		full.Result.Machine.SWFootprint.Observe(v)
+	}
+	var sb strings.Builder
+	PrintFootprints(&sb, []FootprintRow{full, {Workload: "e"}})
+	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
+	if len(lines) != 4 {
+		t.Fatalf("want title, header and two rows:\n%s", sb.String())
+	}
+	for i, want := range []string{
+		"w 3 3 67.7 200 67% n=3 mean=3.7 max=5 [≤1:1 ≤4:2]",
+		"e 0 0 0.0 0 0% (empty)",
+	} {
+		if got := strings.Join(strings.Fields(lines[2+i]), " "); got != want {
+			t.Errorf("row %d = %q, want %q", i, got, want)
+		}
+	}
+}
+
 func TestBuildUnknownSystemPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 
 	"repro/internal/obs"
@@ -86,11 +87,15 @@ func (rep *MetricsReport) WriteJSON(w io.Writer) error {
 
 // ReadMetricsReport parses a report written by WriteJSON, for offline
 // reprocessing (EXPERIMENTS.md shows how to regenerate figure numbers
-// from an archived report instead of rerunning the simulator).
+// from an archived report instead of rerunning the simulator). It
+// rejects any schema tag but ReportSchemaVersion.
 func ReadMetricsReport(r io.Reader) (*MetricsReport, error) {
 	var raw reportJSON
 	if err := json.NewDecoder(r).Decode(&raw); err != nil {
 		return nil, err
+	}
+	if raw.Schema != ReportSchemaVersion {
+		return nil, fmt.Errorf("harness: unknown metrics report schema %q", raw.Schema)
 	}
 	return &MetricsReport{Cells: raw.Cells}, nil
 }

@@ -110,8 +110,9 @@ func TestResultMetricsMatchLegacyCounters(t *testing.T) {
 	}
 	// Footprint histograms import losslessly.
 	hw := s.Get(machine.MetricHWFootprint)
-	if hw == nil || hw.Hist.Count != res.Machine.HWFootprint.Count || hw.Hist.Sum != res.Machine.HWFootprint.Sum {
-		t.Errorf("hw footprint hist = %+v, want count=%d sum=%d", hw, res.Machine.HWFootprint.Count, res.Machine.HWFootprint.Sum)
+	want := res.Machine.HWFootprint.Snapshot()
+	if hw == nil || hw.Hist.Count != want.Count || hw.Hist.Sum != want.Sum {
+		t.Errorf("hw footprint hist = %+v, want count=%d sum=%d", hw, want.Count, want.Sum)
 	}
 	// Per-processor breakdowns exist for both procs and sum to the totals.
 	var hits uint64
@@ -179,5 +180,27 @@ func TestMetricsReportRoundTrip(t *testing.T) {
 	}
 	if got := back.Cells[0].Metrics.Get(tm.MetricSWCommits); got == nil || got.Value != rep.Cells[0].Metrics.Get(tm.MetricSWCommits).Value {
 		t.Fatalf("round-tripped metric = %+v", got)
+	}
+}
+
+// TestReadMetricsReportRejectsOtherSchemas: a report with another
+// schema tag (here a contention report, whose cells would otherwise
+// decode with nil Metrics) or with none is an error, not empty cells.
+func TestReadMetricsReportRejectsOtherSchemas(t *testing.T) {
+	var cr ContentionReport
+	var buf bytes.Buffer
+	if err := cr.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for name, doc := range map[string]string{
+		"contention report": buf.String(),
+		"contention cell":   `{"schema":"` + ContentionSchemaVersion + `","cells":[{"workload":"genome","system":"ustm","threads":2}]}`,
+		"no schema":         `{"cells":[]}`,
+	} {
+		if rep, err := ReadMetricsReport(strings.NewReader(doc)); err == nil {
+			t.Errorf("%s: read as a metrics report with cells %+v, want a schema error", name, rep.Cells)
+		} else if !strings.Contains(err.Error(), "schema") {
+			t.Errorf("%s: error %q does not name the schema", name, err)
+		}
 	}
 }

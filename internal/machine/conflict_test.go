@@ -6,24 +6,35 @@ import (
 	"repro/internal/mem"
 )
 
-// captureRecorder records every edge and commit, for asserting the exact
-// tuples the machine emits.
-type captureRecorder struct {
-	edges   []ConflictEdge
-	commits []struct {
-		proc  int
-		hw    bool
-		cycle uint64
+// capture records every event it is subscribed to, for asserting the
+// exact tuples the machine emits.
+type capture struct{ events []TraceEvent }
+
+func (c *capture) Event(e TraceEvent) { c.events = append(c.events, e) }
+
+// of returns the captured events of the given kinds, in delivery order.
+func (c *capture) of(kinds ...TraceKind) []TraceEvent {
+	var out []TraceEvent
+	for _, e := range c.events {
+		for _, k := range kinds {
+			if e.Kind == k {
+				out = append(out, e)
+			}
+		}
 	}
+	return out
 }
 
-func (c *captureRecorder) RecordEdge(e ConflictEdge) { c.edges = append(c.edges, e) }
-func (c *captureRecorder) RecordCommit(proc int, hw bool, cycle uint64) {
-	c.commits = append(c.commits, struct {
-		proc  int
-		hw    bool
-		cycle uint64
-	}{proc, hw, cycle})
+// attributionKinds are the events the contention profile consumes.
+var attributionKinds = []TraceKind{TraceConflict, TraceHWCommit, TraceSWCommit}
+
+// allKinds lists every event kind.
+func allKinds() []TraceKind {
+	var ks []TraceKind
+	for k := TraceKind(0); k < numTraceKinds; k++ {
+		ks = append(ks, k)
+	}
+	return ks
 }
 
 // TestConflictEdgeHWConflict: an age-ordered HW-vs-HW kill emits exactly
@@ -31,8 +42,8 @@ func (c *captureRecorder) RecordCommit(proc int, hw bool, cycle uint64) {
 // conflicting line, the conflict reason, and a plausible cycle stamp.
 func TestConflictEdgeHWConflict(t *testing.T) {
 	m := New(testParams(2))
-	rec := &captureRecorder{}
-	m.SetConflictRecorder(rec)
+	rec := &capture{}
+	m.Subscribe(rec, attributionKinds...)
 	m.Run([]func(*Proc){
 		func(p *Proc) {
 			age := p.Machine().NextAge() // older
@@ -50,14 +61,15 @@ func TestConflictEdgeHWConflict(t *testing.T) {
 			}
 		},
 	})
-	if len(rec.edges) != 1 {
-		t.Fatalf("edges = %+v, want exactly one", rec.edges)
+	edges := rec.of(TraceConflict)
+	if len(edges) != 1 {
+		t.Fatalf("edges = %+v, want exactly one", edges)
 	}
-	e := rec.edges[0]
-	if e.Aggressor != 0 || e.Victim != 1 {
-		t.Fatalf("edge attribution = %d→%d, want 0→1", e.Aggressor, e.Victim)
+	e := edges[0]
+	if e.Peer != 0 || e.Proc != 1 {
+		t.Fatalf("edge attribution = %d→%d, want 0→1", e.Peer, e.Proc)
 	}
-	if !e.HasAddr || e.Addr != 0 || e.SW {
+	if !e.HasAddr() || e.Addr != 0 || e.SW {
 		t.Fatalf("edge = %+v, want hw edge on line 0", e)
 	}
 	if e.Reason != AbortConflict {
@@ -67,8 +79,9 @@ func TestConflictEdgeHWConflict(t *testing.T) {
 		t.Fatalf("edge cycle = %d, machine ran %d", e.Cycle, m.Cycles())
 	}
 	// One HW commit (the aggressor's); edge count matches the abort count.
-	if len(rec.commits) != 1 || !rec.commits[0].hw || rec.commits[0].proc != 0 {
-		t.Fatalf("commits = %+v", rec.commits)
+	commits := rec.of(TraceHWCommit, TraceSWCommit)
+	if len(commits) != 1 || commits[0].Kind != TraceHWCommit || commits[0].Proc != 0 {
+		t.Fatalf("commits = %+v", commits)
 	}
 	if m.Count.HWAbortsByReason[AbortConflict] != 1 {
 		t.Fatalf("abort count = %d", m.Count.HWAbortsByReason[AbortConflict])
@@ -79,8 +92,8 @@ func TestConflictEdgeHWConflict(t *testing.T) {
 // emits a ufo-kill edge from the setter to the reader.
 func TestConflictEdgeUFOKill(t *testing.T) {
 	m := New(testParams(2))
-	rec := &captureRecorder{}
-	m.SetConflictRecorder(rec)
+	rec := &capture{}
+	m.Subscribe(rec, attributionKinds...)
 	m.Run([]func(*Proc){
 		func(p *Proc) {
 			victimTx(p, false)
@@ -91,11 +104,12 @@ func TestConflictEdgeUFOKill(t *testing.T) {
 			p.SetUFO(0, mem.UFOFaultOnWrite)
 		},
 	})
-	if len(rec.edges) != 1 {
-		t.Fatalf("edges = %+v", rec.edges)
+	edges := rec.of(TraceConflict)
+	if len(edges) != 1 {
+		t.Fatalf("edges = %+v", edges)
 	}
-	e := rec.edges[0]
-	if e.Aggressor != 1 || e.Victim != 0 || e.Reason != AbortUFOKill || !e.HasAddr || e.Addr != 0 {
+	e := edges[0]
+	if e.Peer != 1 || e.Proc != 0 || e.Reason != AbortUFOKill || !e.HasAddr() || e.Addr != 0 {
 		t.Fatalf("ufo edge = %+v, want 1→0 ufo-kill on line 0", e)
 	}
 }
@@ -104,8 +118,8 @@ func TestConflictEdgeUFOKill(t *testing.T) {
 // read set emits a nonT-conflict edge.
 func TestConflictEdgeNonTConflict(t *testing.T) {
 	m := New(testParams(2))
-	rec := &captureRecorder{}
-	m.SetConflictRecorder(rec)
+	rec := &capture{}
+	m.Subscribe(rec, attributionKinds...)
 	m.Run([]func(*Proc){
 		func(p *Proc) {
 			victimTx(p, false)
@@ -115,11 +129,12 @@ func TestConflictEdgeNonTConflict(t *testing.T) {
 			p.NTWrite(0, 5)
 		},
 	})
-	if len(rec.edges) != 1 {
-		t.Fatalf("edges = %+v", rec.edges)
+	edges := rec.of(TraceConflict)
+	if len(edges) != 1 {
+		t.Fatalf("edges = %+v", edges)
 	}
-	e := rec.edges[0]
-	if e.Aggressor != 1 || e.Victim != 0 || e.Reason != AbortNonTConflict {
+	e := edges[0]
+	if e.Peer != 1 || e.Proc != 0 || e.Reason != AbortNonTConflict {
 		t.Fatalf("nonT edge = %+v, want 1→0 nonT-conflict", e)
 	}
 }
@@ -128,8 +143,8 @@ func TestConflictEdgeNonTConflict(t *testing.T) {
 // attributes the edge to the named peer; aggressor -1 falls back to self.
 func TestConflictEdgeAttributedAbort(t *testing.T) {
 	m := New(testParams(2))
-	rec := &captureRecorder{}
-	m.SetConflictRecorder(rec)
+	rec := &capture{}
+	m.Subscribe(rec, attributionKinds...)
 	m.Run([]func(*Proc){
 		func(p *Proc) {
 			p.BeginHW(p.Machine().NextAge(), true)
@@ -141,13 +156,14 @@ func TestConflictEdgeAttributedAbort(t *testing.T) {
 		},
 		func(p *Proc) {},
 	})
-	if len(rec.edges) != 2 {
-		t.Fatalf("edges = %+v", rec.edges)
+	edges := rec.of(TraceConflict)
+	if len(edges) != 2 {
+		t.Fatalf("edges = %+v", edges)
 	}
-	if e := rec.edges[0]; e.Aggressor != 1 || e.Victim != 0 || e.Addr != 0x140 || !e.HasAddr {
+	if e := edges[0]; e.Peer != 1 || e.Proc != 0 || e.Addr != 0x140 || !e.HasAddr() {
 		t.Fatalf("attributed edge = %+v, want 1→0 @0x140", e)
 	}
-	if e := rec.edges[1]; e.Aggressor != 0 || e.Victim != 0 {
+	if e := edges[1]; e.Peer != 0 || e.Proc != 0 {
 		t.Fatalf("self-fallback edge = %+v, want 0→0", e)
 	}
 	if m.Count.HWAbortsByReason[AbortExplicit] != 2 {
@@ -159,8 +175,8 @@ func TestConflictEdgeAttributedAbort(t *testing.T) {
 // caller's clock and the SW flag.
 func TestConflictEdgeSWHelpers(t *testing.T) {
 	m := New(testParams(2))
-	rec := &captureRecorder{}
-	m.SetConflictRecorder(rec)
+	rec := &capture{}
+	m.Subscribe(rec, attributionKinds...)
 	m.Run([]func(*Proc){
 		func(p *Proc) {
 			p.Elapse(10)
@@ -172,23 +188,26 @@ func TestConflictEdgeSWHelpers(t *testing.T) {
 			p.RecordSWAbortBy(-1, AbortConflict, 0, false)
 		},
 	})
-	if len(rec.edges) != 2 {
-		t.Fatalf("edges = %+v", rec.edges)
+	edges := rec.of(TraceConflict)
+	if len(edges) != 2 {
+		t.Fatalf("edges = %+v", edges)
 	}
-	if e := rec.edges[0]; !e.SW || e.Aggressor != 0 || e.Victim != 1 || e.Addr != 0x200 || e.Cycle < 10 {
+	if e := edges[0]; !e.SW || e.Peer != 0 || e.Proc != 1 || e.Addr != 0x200 || e.Cycle < 10 {
 		t.Fatalf("sw kill edge = %+v", e)
 	}
-	if e := rec.edges[1]; !e.SW || e.Aggressor != -1 || e.Victim != 1 || e.HasAddr {
+	if e := edges[1]; !e.SW || e.Peer != -1 || e.Proc != 1 || e.HasAddr() {
 		t.Fatalf("sw abort-by edge = %+v", e)
 	}
-	if len(rec.commits) != 1 || rec.commits[0].hw || rec.commits[0].proc != 0 {
-		t.Fatalf("commits = %+v", rec.commits)
+	commits := rec.of(TraceHWCommit, TraceSWCommit)
+	if len(commits) != 1 || commits[0].Kind != TraceSWCommit || commits[0].Proc != 0 {
+		t.Fatalf("commits = %+v", commits)
 	}
 }
 
-// TestConflictRecorderDetached: with no recorder attached the same
-// collision runs identically and nothing panics (the nil fast path).
-func TestConflictRecorderDetached(t *testing.T) {
+// TestConflictEventsUnsubscribed: with nothing subscribed the same
+// collision runs identically and nothing panics (the empty-list fast
+// path).
+func TestConflictEventsUnsubscribed(t *testing.T) {
 	m := New(testParams(2))
 	m.Run([]func(*Proc){
 		func(p *Proc) {
@@ -202,7 +221,85 @@ func TestConflictRecorderDetached(t *testing.T) {
 			p.NTWrite(0, 5)
 		},
 	})
-	if m.ConflictRecorder() != nil {
-		t.Fatal("recorder attached unexpectedly")
+	for k, subs := range m.subs {
+		if len(subs) != 0 {
+			t.Fatalf("%s has %d subscribers, want none", TraceKind(k), len(subs))
+		}
+	}
+}
+
+// TestOneConflictEventPerKill: a hardware kill delivers exactly one
+// conflict event, carrying the victim as Proc and the aggressor as Peer,
+// to a subscriber of every kind.
+func TestOneConflictEventPerKill(t *testing.T) {
+	m := New(testParams(2))
+	all := &capture{}
+	m.Subscribe(all, allKinds()...)
+	m.Run([]func(*Proc){
+		func(p *Proc) { victimTx(p, false) },
+		func(p *Proc) {
+			p.Elapse(100)
+			p.NTWrite(0, 5) // kills proc 0's reader
+		},
+	})
+	edges := all.of(TraceConflict)
+	if len(edges) != 1 || edges[0].Proc != 0 || edges[0].Peer != 1 || edges[0].SW {
+		t.Fatalf("conflict events = %+v, want one 1→0 hw edge", edges)
+	}
+	if aborts := all.of(TraceHWAbort); len(aborts) != 1 {
+		t.Fatalf("hw-abort events = %+v, want one", aborts)
+	}
+}
+
+// TestSubscribersSeeOnlyTheirKinds: a kind-filtered subscriber receives
+// exactly the events of its kinds that an every-kind subscriber sees, in
+// the same order.
+func TestSubscribersSeeOnlyTheirKinds(t *testing.T) {
+	m := New(testParams(2))
+	all, some := &capture{}, &capture{}
+	kinds := []TraceKind{TraceConflict, TraceTxCommit, TraceUFOSet}
+	m.Subscribe(all, allKinds()...)
+	m.Subscribe(some, kinds...)
+	m.Run([]func(*Proc){
+		func(p *Proc) {
+			p.TxLifeBegin()
+			p.TxLifeAttempt(PathHTM)
+			if victimTx(p, false).Kind != OK {
+				p.TxLifeAbort(PathHTM, AbortUFOKill)
+				p.TxLifeAttempt(PathHTM)
+			}
+			p.TxLifeCommit(PathHTM)
+		},
+		func(p *Proc) {
+			p.Elapse(100)
+			p.SetUFOEnabled(false)
+			p.SetUFO(0, mem.UFOFaultOnWrite)
+		},
+	})
+	want := all.of(kinds...)
+	if len(want) < 3 || len(all.events) <= len(want) {
+		t.Fatalf("run too small to test filtering: %d of %d events", len(want), len(all.events))
+	}
+	if len(some.events) != len(want) {
+		t.Fatalf("filtered subscriber saw %d events, want %d:\n%+v", len(some.events), len(want), some.events)
+	}
+	for i, e := range some.events {
+		if e != want[i] {
+			t.Fatalf("event %d = %+v, want %+v", i, e, want[i])
+		}
+	}
+}
+
+// TestTxLifeHooksUnsubscribedAllocateNothing: with no subscribers the
+// lifecycle hooks TM systems call on every transaction allocate nothing.
+func TestTxLifeHooksUnsubscribedAllocateNothing(t *testing.T) {
+	p := New(testParams(1)).Proc(0)
+	allocs := testing.AllocsPerRun(100, func() {
+		p.TxLifeBegin()
+		p.TxLifeAttempt(PathHTM)
+		p.TxLifeCommit(PathHTM)
+	})
+	if allocs != 0 {
+		t.Fatalf("TxLife hooks allocate %.1f times per transaction, want 0", allocs)
 	}
 }

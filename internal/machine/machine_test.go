@@ -584,25 +584,16 @@ func TestFootprintHistogram(t *testing.T) {
 		p.BeginHW(m.NextAge(), true)
 		p.CommitHW() // footprint 0
 	}})
-	h := &m.Count.HWFootprint
+	h := m.Count.HWFootprint.Snapshot()
 	if h.Count != 2 || h.Max != 3 || h.Sum != 3 {
 		t.Fatalf("hist = %+v", h)
 	}
-	if h.Mean() != 1.5 {
-		t.Fatalf("mean = %v", h.Mean())
+	// One empty transaction in bucket 0, one of 3 lines in bucket 2.
+	if len(h.Buckets) != 3 || h.Buckets[0] != 1 || h.Buckets[1] != 0 || h.Buckets[2] != 1 {
+		t.Fatalf("buckets = %v", h.Buckets)
 	}
-	if got := h.FracAtMost(4); got != 1.0 {
-		t.Fatalf("FracAtMost(4) = %v", got)
-	}
-	if got := h.FracAtMost(0); got != 0.5 {
-		t.Fatalf("FracAtMost(0) = %v (only the empty tx)", got)
-	}
-	if h.String() == "(empty)" {
-		t.Fatal("String empty")
-	}
-	var empty Hist
-	if empty.String() != "(empty)" || empty.Mean() != 0 || empty.FracAtMost(1) != 0 {
-		t.Fatal("empty hist misbehaves")
+	if sw := m.Count.SWFootprint.Snapshot(); sw.Count != 0 || len(sw.Buckets) != 0 {
+		t.Fatalf("sw hist = %+v, want empty", sw)
 	}
 }
 

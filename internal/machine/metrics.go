@@ -6,10 +6,10 @@ import (
 	"repro/internal/obs"
 )
 
-// Metric names exported by RegisterMetrics. The full catalogue — units,
-// meanings, and which paper figure consumes each — is documented in
-// OBSERVABILITY.md; tests reference these constants so renames cannot
-// silently desynchronize the schema.
+// Metric names exported by RegisterMetrics and Trace.Register. The full
+// catalogue — units, meanings, and which paper figure consumes each — is
+// documented in OBSERVABILITY.md; tests reference these constants so
+// renames cannot silently desynchronize the schema.
 const (
 	MetricCycles        = "machine.cycles"
 	MetricHWCommits     = "machine.hw_commits"
@@ -33,11 +33,6 @@ const (
 	MetricProcPrefix = "machine.proc."
 )
 
-// histInto imports a machine Hist into the registry under name.
-func histInto(reg *obs.Registry, name, help string, h *Hist) {
-	reg.Histogram(name, "lines", help).Import(h.Count, h.Sum, h.Max, h.Buckets[:])
-}
-
 // RegisterMetrics registers the machine's hardware-side event counts into
 // reg: global counters (commits, per-reason aborts, NACKs, UFO kills and
 // faults, STM/HTM conflict ages), the committed-footprint histograms, the
@@ -57,8 +52,8 @@ func (m *Machine) RegisterMetrics(reg *obs.Registry) {
 	reg.Counter(MetricUFOFaults, "events", "accesses that hit UFO protection (Section 4.2)").Add(m.Count.UFOFaults)
 	reg.Counter(MetricSTMOlder, "events", "STM-vs-HTM conflicts where the STM transaction was older (Section 5.4)").Add(m.Count.ConflictSTMOlder)
 	reg.Counter(MetricHTMOlder, "events", "STM-vs-HTM conflicts where the HTM transaction was older (Section 5.4)").Add(m.Count.ConflictHTMOlder)
-	histInto(reg, MetricHWFootprint, "footprint of committed hardware transactions", &m.Count.HWFootprint)
-	histInto(reg, MetricSWFootprint, "footprint of committed software transactions", &m.Count.SWFootprint)
+	reg.Histogram(MetricHWFootprint, "lines", "footprint of committed hardware transactions").Merge(&m.Count.HWFootprint)
+	reg.Histogram(MetricSWFootprint, "lines", "footprint of committed software transactions").Merge(&m.Count.SWFootprint)
 
 	var hits, misses uint64
 	for _, p := range m.procs {
@@ -71,8 +66,11 @@ func (m *Machine) RegisterMetrics(reg *obs.Registry) {
 	}
 	reg.Counter(MetricL1Hits, "references", "L1 hits summed over processors").Add(hits)
 	reg.Counter(MetricL1Misses, "references", "L1 misses summed over processors").Add(misses)
+}
 
-	if m.trace != nil {
-		reg.Counter(MetricTraceEvents, "events", "trace events recorded (including ring-evicted)").Add(m.trace.Total())
-	}
+// Register records the ring's event total (evicted events included)
+// into reg as MetricTraceEvents. Call it after Run, like
+// Machine.RegisterMetrics.
+func (t *Trace) Register(reg *obs.Registry) {
+	reg.Counter(MetricTraceEvents, "events", "trace events recorded (including ring-evicted)").Add(t.total)
 }

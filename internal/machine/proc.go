@@ -193,10 +193,7 @@ func (p *Proc) CommitHW() Outcome {
 		p.m.Mem.Write64(addr, val)
 	}
 	p.m.Count.HWCommits++
-	p.m.Count.HWFootprint.Add(t.Footprint())
-	if p.m.rec != nil {
-		p.m.rec.RecordCommit(p.ID(), true, p.Now())
-	}
+	p.m.Count.HWFootprint.Observe(uint64(t.Footprint()))
 	p.record(TraceHWCommit, AbortNone, 0, t.Age, FlagAge)
 	p.hw = nil
 	return okOutcome
@@ -216,7 +213,7 @@ func (p *Proc) AbortHW(reason AbortReason) {
 }
 
 // AbortHWAttributed aborts the in-flight transaction like AbortHW, but
-// attributes the who-aborted-whom edge to another processor and a
+// attributes the conflict event to another processor and a
 // conflicting line. Hybrid TMs use it when a software barrier detects a
 // conflict on behalf of a software transaction running elsewhere (HyTM's
 // otable check, PhTM's phase counter, SLE's held lock word): the abort is
@@ -231,49 +228,56 @@ func (p *Proc) AbortHWAttributed(reason AbortReason, aggressor int, addr uint64)
 	p.consumeAbort()
 }
 
-// RecordSWKill notes with the conflict recorder (no-op when detached)
-// that p's software transaction killed victim's software transaction over
-// the line containing addr. The STM layers call this from their kill
-// paths; the machine itself only sees SW conflicts indirectly.
-// Recorder events arrive in deterministic schedule order.
+// RecordSWKill emits the conflict event for p's software transaction
+// killing victim's software transaction over the line containing addr.
+// The STM layers call this from their kill paths; the machine itself
+// only sees SW conflicts indirectly. Events arrive in deterministic
+// schedule order.
 func (p *Proc) RecordSWKill(victim *Proc, reason AbortReason, addr uint64, hasAddr bool) {
-	if p.m.rec != nil {
-		p.m.rec.RecordEdge(ConflictEdge{
-			Aggressor: p.ID(), Victim: victim.ID(),
-			Addr: addr, HasAddr: hasAddr, SW: true,
-			Reason: reason, Cycle: p.Now(),
-		})
-	}
-	if p.m.txrec != nil {
-		p.m.txrec.TxConflict(victim.ID(), p.ID())
-	}
+	p.conflict(p.ID(), victim.ID(), reason, addr, hasAddr, true)
 }
 
-// RecordSWAbortBy notes that p's own software transaction aborted because
-// of aggressor (-1 when unknown, e.g. a TL2 stripe whose last writer has
-// long released it). Used by STMs whose victims detect conflicts
-// themselves rather than being killed. Recorder events arrive in
-// deterministic schedule order.
+// RecordSWAbortBy emits the conflict event for p's own software
+// transaction aborting because of aggressor (-1 when unknown, e.g. a TL2
+// stripe whose last writer has long released it). Used by STMs whose
+// victims detect conflicts themselves rather than being killed. Events
+// arrive in deterministic schedule order.
 func (p *Proc) RecordSWAbortBy(aggressor int, reason AbortReason, addr uint64, hasAddr bool) {
-	if p.m.rec != nil {
-		p.m.rec.RecordEdge(ConflictEdge{
-			Aggressor: aggressor, Victim: p.ID(),
-			Addr: addr, HasAddr: hasAddr, SW: true,
-			Reason: reason, Cycle: p.Now(),
-		})
-	}
-	if p.m.txrec != nil {
-		p.m.txrec.TxConflict(p.ID(), aggressor)
-	}
+	p.conflict(aggressor, p.ID(), reason, addr, hasAddr, true)
 }
 
-// RecordSWCommit notes a committed software transaction with the conflict
-// recorder (no-op when detached) at this processor's (cycle, id)
-// schedule slot.
+// RecordSWCommit emits the sw-commit event for a committed software
+// transaction at this processor's (cycle, id) schedule slot. It carries
+// the age the STM published with SetSTM, if one is still active.
 func (p *Proc) RecordSWCommit() {
-	if p.m.rec != nil {
-		p.m.rec.RecordCommit(p.ID(), false, p.Now())
+	flags := TraceFlags(0)
+	if p.inSTM {
+		flags = FlagAge
 	}
+	p.record(TraceSWCommit, AbortNone, 0, p.stmAge, flags)
+}
+
+// RecordSWFootprint lets software TMs feed their committed transactions'
+// footprints into the machine-wide histogram, which is shared state
+// updated at this processor's (cycle, id) schedule slot.
+func (p *Proc) RecordSWFootprint(lines int) {
+	p.m.Count.SWFootprint.Observe(uint64(lines))
+}
+
+// conflict emits one conflict event stamped with p's clock: aggressor
+// (-1 unknown) aborted victim's transaction.
+func (p *Proc) conflict(aggressor, victim int, reason AbortReason, addr uint64, hasAddr, sw bool) {
+	if !p.m.on(TraceConflict) {
+		return
+	}
+	var flags TraceFlags
+	if hasAddr {
+		flags = FlagAddr
+	}
+	p.m.emit(TraceEvent{
+		Cycle: p.Now(), Proc: victim, Peer: aggressor, Kind: TraceConflict,
+		Reason: reason, SW: sw, Flags: flags, Addr: addr,
+	})
 }
 
 // consumeAbort retires a pending abort: it records statistics, clears the
@@ -301,8 +305,8 @@ func (p *Proc) killHW(victim *Proc, reason AbortReason, addr uint64, hasAddr boo
 }
 
 // killHWFrom is killHW with an explicit aggressor processor ID for the
-// attribution edge. p is always the processor performing the kill (whose
-// clock timestamps the edge); aggressor may name another processor when a
+// conflict event. p is always the processor performing the kill (whose
+// clock timestamps the event); aggressor may name another processor when a
 // software barrier detects a conflict on that processor's behalf
 // (AbortHWAttributed), or -1 for self-attribution.
 func (p *Proc) killHWFrom(aggressor int, victim *Proc, reason AbortReason, addr uint64, hasAddr bool) {
@@ -313,16 +317,7 @@ func (p *Proc) killHWFrom(aggressor int, victim *Proc, reason AbortReason, addr 
 	if aggressor < 0 {
 		aggressor = victim.ID()
 	}
-	if p.m.rec != nil {
-		p.m.rec.RecordEdge(ConflictEdge{
-			Aggressor: aggressor, Victim: victim.ID(),
-			Addr: addr, HasAddr: hasAddr,
-			Reason: reason, Cycle: p.Now(),
-		})
-	}
-	if p.m.txrec != nil {
-		p.m.txrec.TxConflict(victim.ID(), aggressor)
-	}
+	p.conflict(aggressor, victim.ID(), reason, addr, hasAddr, false)
 	t.pendingAbort = reason
 	t.abortAddr = addr
 	t.abortHasAddr = hasAddr

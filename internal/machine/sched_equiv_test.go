@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/cache"
@@ -56,7 +57,7 @@ func TestReferenceSchedulerBitIdentical(t *testing.T) {
 				t.Errorf("proc %d clock: fast %d, reference %d", i, gn, rn)
 			}
 		}
-		if got.Count != ref.Count {
+		if !reflect.DeepEqual(got.Count, ref.Count) {
 			t.Errorf("counters diverge:\nfast      %+v\nreference %+v", got.Count, ref.Count)
 		}
 		for line := uint64(0); line < 16; line++ {

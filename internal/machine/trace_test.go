@@ -72,8 +72,10 @@ func TestTraceRingKeepsMostRecent(t *testing.T) {
 
 func TestTraceDisabledByDefault(t *testing.T) {
 	m := New(testParams(1))
-	if m.Trace() != nil {
-		t.Fatal("trace enabled by default")
+	for k, subs := range m.subs {
+		if len(subs) != 0 {
+			t.Fatalf("%s has %d subscribers by default", TraceKind(k), len(subs))
+		}
 	}
 	m.Run([]func(*Proc){func(p *Proc) {
 		p.BeginHW(m.NextAge(), true)

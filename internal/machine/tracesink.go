@@ -8,25 +8,15 @@ import (
 	"strconv"
 )
 
-// TraceSink consumes trace events, either streamed live from the machine
-// (Machine.AddTraceSink) or replayed from a recorded ring (Trace.Export).
-// Sinks buffer internally and surface I/O errors from Close, so the
-// simulated hot path never blocks on error handling.
+// TraceSink is a Subscriber that writes trace events out, either
+// streamed live (Machine.Subscribe with TraceKinds) or replayed from a
+// recorded ring (Trace.Export). Sinks buffer internally and surface I/O
+// errors from Close, so the simulated hot path never blocks on error
+// handling. The machine never closes a live sink.
 type TraceSink interface {
-	// Event consumes one event. Implementations must not retain e.
-	Event(e TraceEvent)
+	Subscriber
 	// Close flushes the sink and returns the first error encountered.
 	Close() error
-}
-
-// AddTraceSink streams every subsequent trace event into sink, in
-// addition to (and independently of) the bounded ring enabled by
-// EnableTrace. Add sinks before Run; the machine never closes them.
-// Sinks are invoked by the processor holding the execution token, so
-// they see the same deterministic event sequence under every scheduler
-// and need no locking of their own.
-func (m *Machine) AddTraceSink(sink TraceSink) {
-	m.sinks = append(m.sinks, sink)
 }
 
 // Export replays the recorded events (oldest first) into sink and closes
@@ -114,7 +104,7 @@ func (s *JSONLSink) Event(e TraceEvent) {
 	}
 	if e.HasPath() {
 		buf = append(buf, `,"path":`...)
-		buf = strconv.AppendQuote(buf, TxPath(e.Age).String())
+		buf = strconv.AppendQuote(buf, e.Path.String())
 	}
 	buf = append(buf, '}', '\n')
 	_, s.err = s.w.Write(buf)
@@ -292,7 +282,7 @@ func (s *ChromeSink) Event(e TraceEvent) {
 			return
 		}
 		delete(s.tx, e.Proc)
-		s.closeTx(e.Proc, tx, e.Cycle, TxPath(e.Age).String())
+		s.closeTx(e.Proc, tx, e.Cycle, e.Path.String())
 	default:
 		s.instant(e)
 	}

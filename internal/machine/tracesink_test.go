@@ -128,7 +128,7 @@ func TestChromeSinkTxSpans(t *testing.T) {
 		{Cycle: 14, Proc: 0, Kind: TraceHWAbort, Reason: AbortConflict, Age: 1, Flags: FlagAge},
 		{Cycle: 20, Proc: 0, Kind: TraceHWBegin, Age: 2, Flags: FlagAge},
 		{Cycle: 30, Proc: 0, Kind: TraceHWCommit, Age: 2, Flags: FlagAge},
-		{Cycle: 31, Proc: 0, Kind: TraceTxCommit, Age: uint64(PathHTM), Flags: FlagPath},
+		{Cycle: 31, Proc: 0, Kind: TraceTxCommit, Path: PathHTM, Flags: FlagPath},
 		{Cycle: 40, Proc: 1, Kind: TraceTxBegin}, // left open: truncated at Close
 	}
 	var buf bytes.Buffer
@@ -176,11 +176,11 @@ func TestChromeSinkTxSpans(t *testing.T) {
 }
 
 // TestJSONLSinkTxPath: tx-commit events carry the committing path by
-// name (the Age field holds a TxPath when FlagPath is set).
+// name (FlagPath marks the Path field).
 func TestJSONLSinkTxPath(t *testing.T) {
 	var buf bytes.Buffer
 	sink := NewJSONLSink(&buf)
-	sink.Event(TraceEvent{Cycle: 31, Proc: 0, Kind: TraceTxCommit, Age: uint64(PathUFO), Flags: FlagPath})
+	sink.Event(TraceEvent{Cycle: 31, Proc: 0, Kind: TraceTxCommit, Path: PathUFO, Flags: FlagPath})
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestMachineTxLifeSpansInTrace(t *testing.T) {
 	if begin == nil || commit == nil {
 		t.Fatalf("trace missing tx lifecycle events:\n%v", tr.Events())
 	}
-	if !commit.HasPath() || TxPath(commit.Age) != PathHTM {
+	if !commit.HasPath() || commit.Path != PathHTM {
 		t.Errorf("tx-commit path = %+v, want htm", commit)
 	}
 	if commit.Cycle < begin.Cycle {
@@ -229,7 +229,7 @@ func TestTextSinkMatchesDump(t *testing.T) {
 	tr := &Trace{limit: 1 << 20}
 	for _, e := range goldenEvents() {
 		sink.Event(e)
-		tr.add(e)
+		tr.Event(e)
 	}
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)
@@ -311,14 +311,15 @@ func TestMachineRecordsFlags(t *testing.T) {
 	}
 }
 
-// TestStreamingSinkMatchesExport: events streamed live via AddTraceSink
-// must equal the ring replayed through Trace.Export when nothing was
+// TestStreamingSinkMatchesExport: events streamed live to a sink
+// subscribed to TraceKinds must equal the ring replayed through Trace.Export when nothing was
 // evicted.
 func TestStreamingSinkMatchesExport(t *testing.T) {
 	var live bytes.Buffer
 	m := New(testParams(1))
 	tr := m.EnableTrace(1 << 16)
-	m.AddTraceSink(NewJSONLSink(&live))
+	sink := NewJSONLSink(&live)
+	m.Subscribe(sink, TraceKinds...)
 	m.Run([]func(*Proc){func(p *Proc) {
 		p.BeginHW(m.NextAge(), true)
 		p.TxWrite(64, 7)
@@ -329,10 +330,8 @@ func TestStreamingSinkMatchesExport(t *testing.T) {
 		p.NTRead(64)
 	}})
 	// Flush the live sink (the machine never closes sinks itself).
-	for _, s := range m.sinks {
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
 	}
 	var replay bytes.Buffer
 	if err := tr.Export(NewJSONLSink(&replay)); err != nil {

@@ -171,16 +171,18 @@ func TestRetryFailsOverAndPolls(t *testing.T) {
 
 // edgeLog captures raw conflict edges and commits for tuple assertions.
 type edgeLog struct {
-	edges     []machine.ConflictEdge
+	edges     []machine.TraceEvent // conflict events
 	hwCommits uint64
 	swCommits uint64
 }
 
-func (l *edgeLog) RecordEdge(e machine.ConflictEdge) { l.edges = append(l.edges, e) }
-func (l *edgeLog) RecordCommit(proc int, hw bool, cycle uint64) {
-	if hw {
+func (l *edgeLog) Event(e machine.TraceEvent) {
+	switch e.Kind {
+	case machine.TraceConflict:
+		l.edges = append(l.edges, e)
+	case machine.TraceHWCommit:
 		l.hwCommits++
-	} else {
+	case machine.TraceSWCommit:
 		l.swCommits++
 	}
 }
@@ -198,7 +200,7 @@ func TestHTMAbortsNotStallsDuringWriteback(t *testing.T) {
 	cfg.MaxHTMRetries = 1 << 30
 	s := New(m, cfg)
 	log := &edgeLog{}
-	m.SetConflictRecorder(log)
+	m.Subscribe(log, machine.TraceConflict, machine.TraceHWCommit, machine.TraceSWCommit)
 	const lines, swTxs, hwTxs = 16, 4, 60
 	base := m.Mem.Sbrk(64 * lines)
 	mine := m.Mem.Sbrk(64)
@@ -245,13 +247,13 @@ func TestHTMAbortsNotStallsDuringWriteback(t *testing.T) {
 			continue // proc 0's forced-failover self-edge
 		}
 		conflicts++
-		if e.Victim != 1 || e.Aggressor != 0 {
+		if e.Proc != 1 || e.Peer != 0 {
 			t.Fatalf("unexpected edge direction: %+v", e)
 		}
 		if e.Reason != machine.AbortConflict && e.Reason != machine.AbortNonTConflict {
 			t.Fatalf("unexpected abort reason: %+v", e)
 		}
-		if e.HasAddr && e.Addr == s.lockAddr {
+		if e.HasAddr() && e.Addr == s.lockAddr {
 			sawLockEdge = true
 		}
 	}
@@ -272,9 +274,9 @@ func TestColliderAccountingIdentities(t *testing.T) {
 	m := newMachine(2)
 	s := New(m, DefaultConfig())
 	log := &edgeLog{}
-	m.SetConflictRecorder(log)
+	m.Subscribe(log, machine.TraceConflict, machine.TraceHWCommit, machine.TraceSWCommit)
 	rec := txstats.New(2)
-	m.SetTxRecorder(rec)
+	m.Subscribe(rec, txstats.Kinds...)
 	const iters = 12
 	addr := m.Mem.Sbrk(64)
 	body := func(ex tm.Exec) {
@@ -312,7 +314,7 @@ func TestColliderAccountingIdentities(t *testing.T) {
 			attributed, rep.UnknownWasted, rep.WastedCycles)
 	}
 	for _, e := range log.edges {
-		if e.Victim < 0 || e.Victim > 1 || e.Aggressor < -1 || e.Aggressor > 1 {
+		if e.Proc < 0 || e.Proc > 1 || e.Peer < -1 || e.Peer > 1 {
 			t.Fatalf("malformed edge: %+v", e)
 		}
 		if e.Reason == machine.AbortNone {

@@ -85,8 +85,7 @@ func (g *Gauge) Set(v float64) { g.v = v }
 func (g *Gauge) Value() float64 { return g.v }
 
 // DefaultHistBuckets covers observations 1 .. 2^16 in power-of-two
-// buckets, mirroring machine.Hist so footprint histograms import
-// losslessly.
+// buckets: the range of transaction footprints in cache lines.
 const DefaultHistBuckets = 17
 
 // WideHistBuckets covers observations 1 .. 2^32: the variant for
@@ -95,7 +94,7 @@ const DefaultHistBuckets = 17
 const WideHistBuckets = 33
 
 // Histogram is a power-of-two histogram: bucket i counts observations in
-// (2^(i-1), 2^i]; bucket 0 counts zero observations. The zero value is a
+// [2^(i-1), 2^i - 1]; bucket 0 counts zero observations. The zero value is a
 // ready-to-use histogram with the default bucket range; NewWideHistogram
 // (or Registry.WideHistogram) widens the range to 2^32.
 type Histogram struct {
@@ -145,17 +144,17 @@ func (h *Histogram) Observe(v uint64) {
 	h.buckets[b]++
 }
 
-// Import adds pre-aggregated histogram state (count, sum, max, and
-// per-bucket counts) into h. Buckets beyond h's range accumulate into the
-// last bucket. This is how machine.Hist instances register losslessly.
-func (h *Histogram) Import(count, sum, max uint64, buckets []uint64) {
+// Merge adds o's observations into h, the way a component's own
+// histogram lands in a registry. Buckets beyond h's range accumulate into
+// the last bucket.
+func (h *Histogram) Merge(o *Histogram) {
 	h.grow()
-	h.count += count
-	h.sum += sum
-	if max > h.max {
-		h.max = max
+	h.count += o.count
+	h.sum += o.sum
+	if o.max > h.max {
+		h.max = o.max
 	}
-	for i, n := range buckets {
+	for i, n := range o.buckets {
 		if i >= len(h.buckets) {
 			h.buckets[len(h.buckets)-1] += n
 			continue

@@ -158,20 +158,28 @@ func TestSnapshotAdd(t *testing.T) {
 	}
 }
 
-func TestHistogramImport(t *testing.T) {
+func TestHistogramMerge(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("h", "lines", "")
-	h.Import(3, 10, 8, []uint64{1, 1, 0, 0, 1})
-	// A source with more buckets than we keep clamps into the last bucket.
-	long := make([]uint64, DefaultHistBuckets+4)
-	long[DefaultHistBuckets+3] = 2
-	h.Import(2, 100, 50, long)
-	s := r.Snapshot().Get("h").Hist
-	if s.Count != 5 || s.Sum != 110 || s.Max != 50 {
-		t.Fatalf("imported hist = %+v", s)
+	var src Histogram
+	for _, v := range []uint64{0, 2, 8} {
+		src.Observe(v)
 	}
-	if s.Buckets[len(s.Buckets)-1] != 2 {
+	h.Merge(&src)
+	// A source with more buckets than we keep clamps into the last bucket.
+	wide := NewWideHistogram()
+	wide.Observe(1 << 20)
+	wide.Observe(1 << 20)
+	h.Merge(wide)
+	s := r.Snapshot().Get("h").Hist
+	if s.Count != 5 || s.Sum != 10+2<<20 || s.Max != 1<<20 {
+		t.Fatalf("merged hist = %+v", s)
+	}
+	if len(s.Buckets) != DefaultHistBuckets || s.Buckets[len(s.Buckets)-1] != 2 {
 		t.Fatalf("clamped buckets = %v", s.Buckets)
+	}
+	if s.Buckets[0] != 1 || s.Buckets[2] != 1 || s.Buckets[4] != 1 {
+		t.Fatalf("merged buckets = %v", s.Buckets)
 	}
 }
 

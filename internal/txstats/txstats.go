@@ -17,12 +17,11 @@
 // recorder remembers each victim's most recent aggressor and charges the
 // aborted attempt's cycles to that processor.
 //
-// Recorder implements machine.TxRecorder (the machine defines the
-// interface so the dependency points outward; attach with
-// Machine.SetTxRecorder). Aggregation is deterministic: the engine
-// runs the hooks in (cycle, id) step order, and Report freezes every
-// accumulator into declaration-ordered or sorted slices, so equal runs
-// produce byte-identical reports.
+// Recorder is a machine.Subscriber for the lifecycle and conflict events
+// (attach with m.Subscribe(r, txstats.Kinds...)). Aggregation is
+// deterministic: the engine runs the hooks in (cycle, id) step order,
+// and Report freezes every accumulator into declaration-ordered or
+// sorted slices, so equal runs produce byte-identical reports.
 package txstats
 
 import (
@@ -47,8 +46,8 @@ type txState struct {
 }
 
 // Recorder is the accumulating side of the lifecycle subsystem: one per
-// machine run. It implements machine.TxRecorder. Like obs.Registry it is
-// not safe for concurrent use — the simulation engine serializes
+// machine run, subscribed to Kinds. Like obs.Registry it is not safe for
+// concurrent use — the simulation engine serializes
 // processors, and parallel sweeps give every cell its own Recorder.
 type Recorder struct {
 	procs int
@@ -84,10 +83,12 @@ type Recorder struct {
 	queueWait      *obs.Histogram // per request: begin cycle - arrival cycle
 }
 
-var (
-	_ machine.TxRecorder        = (*Recorder)(nil)
-	_ machine.TxArrivalRecorder = (*Recorder)(nil)
-)
+// Kinds lists the machine events a Recorder consumes.
+var Kinds = []machine.TraceKind{
+	machine.TraceTxArrival, machine.TraceTxBegin, machine.TraceTxAttempt,
+	machine.TraceTxAbort, machine.TraceTxRetryWait, machine.TraceTxBackoff,
+	machine.TraceTxCommit, machine.TraceConflict,
+}
 
 // New returns an empty recorder for a machine with the given processor
 // count.
@@ -111,11 +112,43 @@ func New(procs int) *Recorder {
 	return r
 }
 
-// TxBegin implements machine.TxRecorder.
-func (r *Recorder) TxBegin(proc int, cycle uint64) {
+// Event implements machine.Subscriber. A conflict event remembers the
+// victim's aggressor, so the victim's next aborted attempt charges its
+// wasted cycles to that processor.
+func (r *Recorder) Event(e machine.TraceEvent) {
+	proc := e.Proc
 	if proc < 0 || proc >= r.procs {
 		return
 	}
+	switch e.Kind {
+	case machine.TraceTxArrival:
+		r.pendingArrival[proc] = e.Cycle
+		r.pendingValid[proc] = true
+	case machine.TraceTxBegin:
+		r.begin(proc, e.Cycle)
+	case machine.TraceConflict:
+		r.tx[proc].aggressor = e.Peer
+	}
+	if !r.tx[proc].active {
+		return // stray lifecycle event: no transaction in flight
+	}
+	switch e.Kind {
+	case machine.TraceTxAttempt:
+		r.attempt(proc, e.Path, e.Cycle)
+	case machine.TraceTxAbort:
+		r.abort(proc, e.Path, e.Reason, e.Cycle)
+	case machine.TraceTxRetryWait:
+		r.retryWaits++
+		r.tx[proc].waiting = true
+	case machine.TraceTxBackoff:
+		r.tx[proc].backoff += e.Backoff
+		r.backoffCycles += e.Backoff
+	case machine.TraceTxCommit:
+		r.commit(proc, e.Path, e.Cycle)
+	}
+}
+
+func (r *Recorder) begin(proc int, cycle uint64) {
 	r.begun++
 	r.tx[proc] = txState{active: true, begin: cycle, attemptStart: cycle, aggressor: -1}
 	if r.pendingValid[proc] {
@@ -125,21 +158,7 @@ func (r *Recorder) TxBegin(proc int, cycle uint64) {
 	}
 }
 
-// TxArrival implements machine.TxArrivalRecorder: the next TxBegin on
-// proc services an open-loop request that arrived at the given cycle.
-func (r *Recorder) TxArrival(proc int, cycle uint64) {
-	if proc < 0 || proc >= r.procs {
-		return
-	}
-	r.pendingArrival[proc] = cycle
-	r.pendingValid[proc] = true
-}
-
-// TxAttempt implements machine.TxRecorder.
-func (r *Recorder) TxAttempt(proc int, path machine.TxPath, cycle uint64) {
-	if proc < 0 || proc >= r.procs || !r.tx[proc].active {
-		return
-	}
+func (r *Recorder) attempt(proc int, path machine.TxPath, cycle uint64) {
 	t := &r.tx[proc]
 	if t.waiting {
 		// The whole interval since the Retry attempt started counts as
@@ -157,11 +176,7 @@ func (r *Recorder) TxAttempt(proc int, path machine.TxPath, cycle uint64) {
 	}
 }
 
-// TxAbort implements machine.TxRecorder.
-func (r *Recorder) TxAbort(proc int, path machine.TxPath, reason machine.AbortReason, cycle uint64) {
-	if proc < 0 || proc >= r.procs || !r.tx[proc].active {
-		return
-	}
+func (r *Recorder) abort(proc int, path machine.TxPath, reason machine.AbortReason, cycle uint64) {
 	t := &r.tx[proc]
 	w := cycle - t.attemptStart
 	t.wasted += w
@@ -180,29 +195,7 @@ func (r *Recorder) TxAbort(proc int, path machine.TxPath, reason machine.AbortRe
 	t.attemptStart = cycle
 }
 
-// TxRetryWait implements machine.TxRecorder.
-func (r *Recorder) TxRetryWait(proc int, cycle uint64) {
-	if proc < 0 || proc >= r.procs || !r.tx[proc].active {
-		return
-	}
-	r.retryWaits++
-	r.tx[proc].waiting = true
-}
-
-// TxBackoff implements machine.TxRecorder.
-func (r *Recorder) TxBackoff(proc int, cycles uint64) {
-	if proc < 0 || proc >= r.procs || !r.tx[proc].active {
-		return
-	}
-	r.tx[proc].backoff += cycles
-	r.backoffCycles += cycles
-}
-
-// TxCommit implements machine.TxRecorder.
-func (r *Recorder) TxCommit(proc int, path machine.TxPath, cycle uint64) {
-	if proc < 0 || proc >= r.procs || !r.tx[proc].active {
-		return
-	}
+func (r *Recorder) commit(proc int, path machine.TxPath, cycle uint64) {
 	t := &r.tx[proc]
 	r.committed++
 	if int(path) < len(r.commitsByPath) {
@@ -228,14 +221,6 @@ func (r *Recorder) TxCommit(proc int, path machine.TxPath, cycle uint64) {
 	r.tx[proc] = txState{aggressor: -1}
 }
 
-// TxConflict implements machine.TxRecorder.
-func (r *Recorder) TxConflict(victim, aggressor int) {
-	if victim < 0 || victim >= r.procs {
-		return
-	}
-	r.tx[victim].aggressor = aggressor
-}
-
 // Committed returns the number of committed transactions recorded so far.
 func (r *Recorder) Committed() uint64 { return r.committed }
 
@@ -251,21 +236,13 @@ func (r *Recorder) Register(reg *obs.Registry) {
 	reg.Counter("txstats.retry_wait_cycles", "cycles", "cycles suspended in Retry inside transactions").Add(r.retryWaitCycles)
 	reg.Counter("txstats.overhead_cycles", "cycles", "committed-tx cycles outside attempts, backoff, and waiting").Add(r.overheadCycles)
 	reg.Counter("txstats.retry_waits", "waits", "Retry suspensions recorded").Add(r.retryWaits)
-	ls := r.latency.Snapshot()
-	reg.WideHistogram("txstats.latency", "cycles", "committed transaction latency, begin to commit").
-		Import(ls.Count, ls.Sum, ls.Max, ls.Buckets)
-	as := r.attempts.Snapshot()
-	reg.Histogram("txstats.attempts", "attempts", "attempts needed per committed transaction").
-		Import(as.Count, as.Sum, as.Max, as.Buckets)
+	reg.WideHistogram("txstats.latency", "cycles", "committed transaction latency, begin to commit").Merge(r.latency)
+	reg.Histogram("txstats.attempts", "attempts", "attempts needed per committed transaction").Merge(&r.attempts)
 	// Open-loop metrics appear only when the workload tagged arrivals, so
 	// closed-loop runs' metric snapshots are unchanged byte-for-byte.
 	if r.requests > 0 {
 		reg.Counter("txstats.requests", "requests", "open-loop requests serviced (arrival-tagged commits)").Add(r.requests)
-		rs := r.response.Snapshot()
-		reg.WideHistogram("txstats.response", "cycles", "open-loop response time, arrival to commit (queueing + service)").
-			Import(rs.Count, rs.Sum, rs.Max, rs.Buckets)
-		qs := r.queueWait.Snapshot()
-		reg.WideHistogram("txstats.queue_wait", "cycles", "open-loop queueing delay, arrival to transaction begin").
-			Import(qs.Count, qs.Sum, qs.Max, qs.Buckets)
+		reg.WideHistogram("txstats.response", "cycles", "open-loop response time, arrival to commit (queueing + service)").Merge(r.response)
+		reg.WideHistogram("txstats.queue_wait", "cycles", "open-loop queueing delay, arrival to transaction begin").Merge(r.queueWait)
 	}
 }

@@ -9,6 +9,44 @@ import (
 	"repro/internal/obs"
 )
 
+// feed drives a Recorder with the events the machine's TxLife hooks
+// and conflict paths emit.
+type feed struct{ r *Recorder }
+
+func (f feed) send(e machine.TraceEvent) { f.r.Event(e) }
+
+func (f feed) TxArrival(proc int, cycle uint64) {
+	f.send(machine.TraceEvent{Kind: machine.TraceTxArrival, Proc: proc, Cycle: cycle})
+}
+
+func (f feed) TxBegin(proc int, cycle uint64) {
+	f.send(machine.TraceEvent{Kind: machine.TraceTxBegin, Proc: proc, Cycle: cycle})
+}
+
+func (f feed) TxAttempt(proc int, path machine.TxPath, cycle uint64) {
+	f.send(machine.TraceEvent{Kind: machine.TraceTxAttempt, Proc: proc, Path: path, Flags: machine.FlagPath, Cycle: cycle})
+}
+
+func (f feed) TxAbort(proc int, path machine.TxPath, reason machine.AbortReason, cycle uint64) {
+	f.send(machine.TraceEvent{Kind: machine.TraceTxAbort, Proc: proc, Path: path, Flags: machine.FlagPath, Reason: reason, Cycle: cycle})
+}
+
+func (f feed) TxRetryWait(proc int, cycle uint64) {
+	f.send(machine.TraceEvent{Kind: machine.TraceTxRetryWait, Proc: proc, Cycle: cycle})
+}
+
+func (f feed) TxBackoff(proc int, cycles uint64) {
+	f.send(machine.TraceEvent{Kind: machine.TraceTxBackoff, Proc: proc, Backoff: cycles})
+}
+
+func (f feed) TxCommit(proc int, path machine.TxPath, cycle uint64) {
+	f.send(machine.TraceEvent{Kind: machine.TraceTxCommit, Proc: proc, Path: path, Flags: machine.FlagPath, Cycle: cycle})
+}
+
+func (f feed) TxConflict(victim, aggressor int) {
+	f.send(machine.TraceEvent{Kind: machine.TraceConflict, Proc: victim, Peer: aggressor})
+}
+
 // script drives a recorder through a hand-computed two-processor run:
 //
 //	proc 0: begin@10, HTM attempt@12, conflict(agg=1), abort coherence@20
@@ -18,16 +56,17 @@ import (
 // proc 0 latency 30 = useful 15 + wasted 8 + backoff 5 + overhead 2.
 // proc 1 latency 20 = useful 20.
 func script(r *Recorder) {
-	r.TxBegin(0, 10)
-	r.TxBegin(1, 10)
-	r.TxAttempt(1, machine.PathHTM, 10)
-	r.TxAttempt(0, machine.PathHTM, 12)
-	r.TxConflict(0, 1)
-	r.TxAbort(0, machine.PathHTM, machine.AbortConflict, 20)
-	r.TxBackoff(0, 5)
-	r.TxAttempt(0, machine.PathHTM, 25)
-	r.TxCommit(1, machine.PathHTM, 30)
-	r.TxCommit(0, machine.PathHTM, 40)
+	f := feed{r}
+	f.TxBegin(0, 10)
+	f.TxBegin(1, 10)
+	f.TxAttempt(1, machine.PathHTM, 10)
+	f.TxAttempt(0, machine.PathHTM, 12)
+	f.TxConflict(0, 1)
+	f.TxAbort(0, machine.PathHTM, machine.AbortConflict, 20)
+	f.TxBackoff(0, 5)
+	f.TxAttempt(0, machine.PathHTM, 25)
+	f.TxCommit(1, machine.PathHTM, 30)
+	f.TxCommit(0, machine.PathHTM, 40)
 }
 
 func TestRecorderAccounting(t *testing.T) {
@@ -73,11 +112,12 @@ func TestRecorderAccounting(t *testing.T) {
 
 func TestRecorderRetryWait(t *testing.T) {
 	r := New(1)
-	r.TxBegin(0, 0)
-	r.TxAttempt(0, machine.PathSW, 0)
-	r.TxRetryWait(0, 8)
-	r.TxAttempt(0, machine.PathSW, 50) // waited 0..50
-	r.TxCommit(0, machine.PathSW, 60)
+	f := feed{r}
+	f.TxBegin(0, 0)
+	f.TxAttempt(0, machine.PathSW, 0)
+	f.TxRetryWait(0, 8)
+	f.TxAttempt(0, machine.PathSW, 50) // waited 0..50
+	f.TxCommit(0, machine.PathSW, 60)
 	rep := r.Report()
 	if rep.RetryWaits != 1 || rep.RetryWaitCycles != 50 {
 		t.Fatalf("retry wait = %d waits, %d cycles", rep.RetryWaits, rep.RetryWaitCycles)
@@ -90,9 +130,10 @@ func TestRecorderRetryWait(t *testing.T) {
 
 func TestRecorderInFlight(t *testing.T) {
 	r := New(1)
-	r.TxBegin(0, 0)
-	r.TxAttempt(0, machine.PathUFO, 0)
-	r.TxAbort(0, machine.PathUFO, machine.AbortExplicit, 30)
+	f := feed{r}
+	f.TxBegin(0, 0)
+	f.TxAttempt(0, machine.PathUFO, 0)
+	f.TxAbort(0, machine.PathUFO, machine.AbortExplicit, 30)
 	rep := r.Report()
 	if rep.Begun != 1 || rep.Committed != 0 || rep.InFlight != 1 {
 		t.Fatalf("counts = %d/%d/%d", rep.Begun, rep.Committed, rep.InFlight)
@@ -104,6 +145,21 @@ func TestRecorderInFlight(t *testing.T) {
 	}
 	if rep.Latency != nil {
 		t.Fatalf("latency hist should be absent with no commits: %+v", rep.Latency)
+	}
+}
+
+// TestRecorderArrival: an arrival-tagged transaction's response time
+// spans arrival to commit and its queueing delay arrival to begin.
+func TestRecorderArrival(t *testing.T) {
+	r := New(1)
+	f := feed{r}
+	f.TxArrival(0, 2)
+	f.TxBegin(0, 10)
+	f.TxAttempt(0, machine.PathHTM, 10)
+	f.TxCommit(0, machine.PathHTM, 30)
+	rep := r.Report()
+	if rep.Requests != 1 || rep.Response == nil || rep.Response.Sum != 28 || rep.QueueWait == nil || rep.QueueWait.Sum != 8 {
+		t.Fatalf("requests %d, response %+v, queue wait %+v", rep.Requests, rep.Response, rep.QueueWait)
 	}
 }
 
@@ -169,10 +225,11 @@ func TestRecorderRegister(t *testing.T) {
 // no transaction in flight are dropped rather than corrupting state.
 func TestRecorderIgnoresStray(t *testing.T) {
 	r := New(1)
-	r.TxAttempt(0, machine.PathHTM, 5) // no begin
-	r.TxCommit(0, machine.PathHTM, 9)
-	r.TxBegin(7, 0) // out of range
-	r.TxAbort(-1, machine.PathHTM, machine.AbortConflict, 3)
+	f := feed{r}
+	f.TxAttempt(0, machine.PathHTM, 5) // no begin
+	f.TxCommit(0, machine.PathHTM, 9)
+	f.TxBegin(7, 0) // out of range
+	f.TxAbort(-1, machine.PathHTM, machine.AbortConflict, 3)
 	rep := r.Report()
 	if rep.Begun != 0 || rep.Committed != 0 || rep.WastedCycles != 0 {
 		t.Fatalf("stray events recorded: %+v", rep)

@@ -103,7 +103,6 @@ func (t *Thread) End() bool {
 		w.wake(t.p)
 	}
 	t.p.Elapse(t.stm.cfg.CommitCycles)
-	t.p.RecordSW(machine.TraceSWCommit, machine.AbortNone, t.age)
 	t.p.RecordSWCommit()
 	t.finish()
 	t.runDeferred()
