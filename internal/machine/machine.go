@@ -24,6 +24,7 @@ package machine
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cache"
 	"repro/internal/mem"
@@ -273,11 +274,11 @@ type Machine struct {
 	Rand  *sim.Rand
 	Count Counters
 
-	dir   *cache.Directory
-	warm  map[uint64]bool // lines that have been fetched at least once
-	procs []*Proc
-	txSeq uint64
-	subs  [numTraceKinds][]Subscriber // per kind, in Subscribe order
+	dir     *cache.Directory
+	holders holderIndex
+	procs   []*Proc
+	txSeq   uint64
+	subs    [numTraceKinds][]Subscriber // per kind, in Subscribe order
 }
 
 // New builds a machine from params. All state derives from params (the
@@ -298,10 +299,10 @@ func New(p Params) *Machine {
 			MaxSteps:  p.MaxSteps,
 			Reference: p.ReferenceScheduler,
 		}),
-		Mem:  mem.New(p.MemBytes),
-		Rand: sim.NewRand(p.Seed),
-		dir:  cache.NewDirectory(),
-		warm: make(map[uint64]bool),
+		Mem:     mem.New(p.MemBytes),
+		Rand:    sim.NewRand(p.Seed),
+		dir:     cache.NewDirectoryFor(p.Procs),
+		holders: newHolderIndex(p.Procs),
 	}
 	// Reserve the first page so fixed low addresses used by small tests
 	// and examples never collide with Sbrk-allocated metadata (otables,
@@ -359,12 +360,15 @@ func (m *Machine) Run(workloads []func(*Proc)) {
 func (m *Machine) Cycles() uint64 { return m.Eng.Now() }
 
 // CheckConsistency validates the machine's internal invariants: the
-// directory and the per-processor L1s agree exactly, and speculative
-// state only exists inside in-flight transactions. Tests call this after
-// (and during) stress runs; it is not part of the simulated semantics.
-// It reads shared state, so call it between runs, or mid-run only from
-// the processor holding the execution token, where the check is
-// deterministic.
+// directory and the per-processor L1s agree exactly; every SR/SW bit in
+// the holder index belongs to a live transaction with no pending abort
+// whose line list holds that line, and every listed line carries one of
+// its bits; and speculative values exist only inside in-flight
+// transactions, on lines under their own processor's SW bit. Tests call
+// this after (and during) stress runs; it is not part of the simulated
+// semantics. It reads shared state, so call it between runs, or mid-run
+// only from the processor holding the execution token, where the check
+// is deterministic.
 func (m *Machine) CheckConsistency() error {
 	// Every L1-resident line is registered in the directory...
 	for _, p := range m.procs {
@@ -377,10 +381,7 @@ func (m *Machine) CheckConsistency() error {
 	// ...and every directory entry is backed by a resident line.
 	var err error
 	m.dir.ForEach(func(line uint64, sharers cache.ProcSet) {
-		if err != nil {
-			return
-		}
-		for _, i := range sharers.Procs() {
+		for i := sharers.Next(0); i >= 0 && err == nil; i = sharers.Next(i + 1) {
 			if !m.procs[i].l1.Contains(line) {
 				err = fmt.Errorf("machine: directory lists proc %d for line %d but its L1 disagrees", i, line)
 			}
@@ -389,14 +390,37 @@ func (m *Machine) CheckConsistency() error {
 	if err != nil {
 		return err
 	}
-	// Speculative values imply an in-flight transaction that wrote them.
+	// Holder bits belong to live, un-aborted transactions that list the
+	// line...
+	m.holders.forEach(func(line uint64, held cache.ProcSet) {
+		for i := held.Next(0); i >= 0 && err == nil; i = held.Next(i + 1) {
+			t := m.procs[i].hw
+			switch {
+			case t == nil:
+				err = fmt.Errorf("machine: proc %d holds line %d with no transaction", i, line)
+			case t.pendingAbort != AbortNone:
+				err = fmt.Errorf("machine: proc %d holds line %d after its transaction aborted (%v)", i, line, t.pendingAbort)
+			case !slices.Contains(t.lines, line):
+				err = fmt.Errorf("machine: proc %d holds line %d outside its line list", i, line)
+			}
+		}
+	})
+	if err != nil {
+		return err
+	}
 	for _, p := range m.procs {
 		if p.hw == nil {
 			continue
 		}
-		for addr := range p.hw.Spec {
-			line := mem.LineOf(addr)
-			if _, ok := p.hw.WriteSet[line]; !ok {
+		// ...every listed line carries one of the transaction's bits...
+		for _, line := range p.hw.lines {
+			if r, w := m.holders.has(line, p.ID()); !r && !w {
+				return fmt.Errorf("machine: proc %d lists line %d but holds neither its SR nor its SW bit", p.ID(), line)
+			}
+		}
+		// ...and speculative values lie under the writer's own SW bit.
+		for addr := range p.hw.spec {
+			if _, w := m.holders.has(mem.LineOf(addr), p.ID()); !w {
 				return fmt.Errorf("machine: proc %d has speculative data at %#x outside its write set", p.ID(), addr)
 			}
 		}

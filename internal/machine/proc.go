@@ -8,32 +8,35 @@ import (
 	"repro/internal/sim"
 )
 
-// HWTx is the architectural state of an in-flight hardware transaction:
-// the speculative read/write line-sets (the SR/SW bits of the paper,
-// hoisted out of the cache array so the unbounded HTM can share the
-// implementation) and the speculative store buffer that stands in for
+// HWTx is the architectural state of an in-flight hardware transaction.
+// Its SR/SW bits (the paper's read/write line-sets) live in the
+// machine's holder index, hoisted out of the cache array so the
+// unbounded HTM can share the implementation. The transaction itself
+// keeps the list of lines it touched, which commit and abort walk to
+// clear its bits, and the speculative store buffer that stands in for
 // speculatively-dirty cache lines.
 type HWTx struct {
-	Age      uint64
-	Bounded  bool // true for BTM (L1-limited), false for the unbounded HTM
-	ReadSet  map[uint64]struct{}
-	WriteSet map[uint64]struct{}
-	Spec     map[uint64]uint64 // speculative word values, by address
+	Age     uint64
+	Bounded bool // true for BTM (L1-limited), false for the unbounded HTM
+
+	p     *Proc
+	lines []uint64          // distinct lines read or written, in first-touch order
+	spec  map[uint64]uint64 // speculative word values, by address, under SW bits
 
 	pendingAbort AbortReason
 	abortAddr    uint64
 	abortHasAddr bool
 }
 
-// Footprint returns the number of distinct lines read or written.
-func (t *HWTx) Footprint() int {
-	n := len(t.WriteSet)
-	for l := range t.ReadSet {
-		if _, w := t.WriteSet[l]; !w {
-			n++
-		}
-	}
-	return n
+// Footprint returns the number of distinct lines read or written
+// (proc-local read).
+func (t *HWTx) Footprint() int { return len(t.lines) }
+
+// InReadSet reports whether line is in the transaction's read set, that
+// is, whether its SR bit is set (proc-local read).
+func (t *HWTx) InReadSet(line uint64) bool {
+	r, _ := t.p.m.holders.has(line, t.p.ID())
+	return r
 }
 
 // Proc is one simulated processor plus its private L1 and transactional
@@ -156,23 +159,16 @@ func (p *Proc) BeginHW(age uint64, bounded bool) {
 	if p.hw != nil {
 		panic("machine: BeginHW with transaction already active")
 	}
-	// Transactions are frequent and short; reuse one HWTx (and its maps,
-	// which keep their buckets across clears) per processor instead of
-	// allocating fresh state on every begin.
+	// Transactions are frequent and short; reuse one HWTx (its line list
+	// and store buffer, emptied by commit and abort) per processor instead
+	// of allocating fresh state on every begin.
 	t := p.hwBuf
 	if t == nil {
-		t = &HWTx{
-			ReadSet:  make(map[uint64]struct{}),
-			WriteSet: make(map[uint64]struct{}),
-			Spec:     make(map[uint64]uint64),
-		}
+		t = &HWTx{p: p, spec: make(map[uint64]uint64)}
 		p.hwBuf = t
 	}
 	t.Age, t.Bounded = age, bounded
 	t.pendingAbort, t.abortAddr, t.abortHasAddr = AbortNone, 0, false
-	clear(t.ReadSet)
-	clear(t.WriteSet)
-	clear(t.Spec)
 	p.hw = t
 	p.record(TraceHWBegin, AbortNone, 0, age, FlagAge)
 }
@@ -189,12 +185,13 @@ func (p *Proc) CommitHW() Outcome {
 	if t.pendingAbort != AbortNone {
 		return p.consumeAbort()
 	}
-	for addr, val := range t.Spec {
+	for addr, val := range t.spec {
 		p.m.Mem.Write64(addr, val)
 	}
 	p.m.Count.HWCommits++
 	p.m.Count.HWFootprint.Observe(uint64(t.Footprint()))
 	p.record(TraceHWCommit, AbortNone, 0, t.Age, FlagAge)
+	p.releaseHW(false)
 	p.hw = nil
 	return okOutcome
 }
@@ -321,15 +318,23 @@ func (p *Proc) killHWFrom(aggressor int, victim *Proc, reason AbortReason, addr 
 	t.pendingAbort = reason
 	t.abortAddr = addr
 	t.abortHasAddr = hasAddr
-	// Speculatively written lines are invalidated on abort (they were
-	// never globally visible); the read set simply loses its SR bits.
-	for l := range t.WriteSet {
-		victim.l1.Invalidate(l)
-		p.m.dir.Remove(l, victim.ID())
+	victim.releaseHW(true)
+}
+
+// releaseHW clears the in-flight transaction's SR/SW bits, line list and
+// store buffer, at commit or on abort. On abort, speculatively written
+// lines are also invalidated (they were never globally visible); read
+// lines simply lose their SR bits.
+func (p *Proc) releaseHW(abort bool) {
+	t := p.hw
+	for _, l := range t.lines {
+		if p.m.holders.drop(l, p.ID()) && abort {
+			p.l1.Invalidate(l)
+			p.m.dir.Remove(l, p.ID())
+		}
 	}
-	clear(t.ReadSet)
-	clear(t.WriteSet)
-	clear(t.Spec)
+	t.lines = t.lines[:0]
+	clear(t.spec)
 }
 
 // timerInterrupt models the scheduling-timer quantum: an in-flight
@@ -386,12 +391,8 @@ func (p *Proc) access(addr uint64, write, tx bool) Outcome {
 	// coherence acquisition and the SR/SW-bit update are one atomic
 	// hardware action, and the charge below may yield to other processors
 	// whose conflicting actions must observe the updated footprint.
-	if tx {
-		if write {
-			p.hw.WriteSet[line] = struct{}{}
-		} else {
-			p.hw.ReadSet[line] = struct{}{}
-		}
+	if tx && p.m.holders.mark(line, p.ID(), write) {
+		p.hw.lines = append(p.hw.lines, line)
 	}
 
 	// 4. Cache and coherence timing. This can self-abort (set overflow),
@@ -432,21 +433,12 @@ func (p *Proc) access(addr uint64, write, tx bool) Outcome {
 }
 
 // resolveConflicts applies the machine's contention policy to every
-// hardware transaction whose footprint conflicts with this access.
-// resolved=false means the access must not proceed (NACK or own abort).
+// hardware transaction whose footprint conflicts with this access,
+// visiting them in ascending processor ID. resolved=false means the
+// access must not proceed (NACK or own abort).
 func (p *Proc) resolveConflicts(line uint64, write, tx bool) (Outcome, bool) {
-	var victims []*Proc
-	for _, q := range p.m.procs {
-		if q == p || q.hw == nil || q.hw.pendingAbort != AbortNone {
-			continue
-		}
-		_, inW := q.hw.WriteSet[line]
-		_, inR := q.hw.ReadSet[line]
-		if inW || (write && inR) {
-			victims = append(victims, q)
-		}
-	}
-	if len(victims) == 0 {
+	var victims cache.ProcSet
+	if !p.m.holders.conflicts(line, p.ID(), write, &victims) {
 		return okOutcome, true
 	}
 	if !tx {
@@ -454,7 +446,8 @@ func (p *Proc) resolveConflicts(line uint64, write, tx bool) (Outcome, bool) {
 		// hardware transactions by aborting them: HTMs are strongly atomic
 		// through coherence. STM-vs-HTM conflicts are also classified for
 		// the Section 5.4 measurement.
-		for _, q := range victims {
+		for qi := victims.Next(0); qi >= 0; qi = victims.Next(qi + 1) {
+			q := p.m.procs[qi]
 			if p.inSTM {
 				if p.stmAge < q.hw.Age {
 					p.m.Count.ConflictSTMOlder++
@@ -468,16 +461,16 @@ func (p *Proc) resolveConflicts(line uint64, write, tx bool) (Outcome, bool) {
 	}
 	// HW-vs-HW: age-ordered resolution (or requester-wins for Figure 8).
 	if p.m.HWPolicy == AgeOrdered {
-		for _, q := range victims {
-			if q.hw.Age < p.hw.Age {
+		for qi := victims.Next(0); qi >= 0; qi = victims.Next(qi + 1) {
+			if p.m.procs[qi].hw.Age < p.hw.Age {
 				p.m.Count.Nacks++
 				p.record(TraceNack, AbortNone, mem.LineAddr(line), p.hw.Age, FlagAddr|FlagAge)
 				return Outcome{Kind: Nacked}, false
 			}
 		}
 	}
-	for _, q := range victims {
-		p.killHW(q, AbortConflict, mem.LineAddr(line), true)
+	for qi := victims.Next(0); qi >= 0; qi = victims.Next(qi + 1) {
+		p.killHW(p.m.procs[qi], AbortConflict, mem.LineAddr(line), true)
 	}
 	return okOutcome, true
 }
@@ -488,23 +481,18 @@ func (p *Proc) charge(line uint64, write bool) {
 	hit, victim, evicted := p.l1.Touch(line)
 	cost := p.m.L1HitCycles
 	if !hit {
-		if p.m.warm[line] {
-			if len(p.m.dir.Others(line, p.ID())) > 0 {
-				cost += p.m.TransferCycles
-			} else {
-				cost += p.m.L2HitCycles
-			}
-		} else {
-			p.m.warm[line] = true
+		switch warm, shared := p.m.dir.Fill(line, p.ID()); {
+		case !warm:
 			cost += p.m.MemCycles
+		case shared:
+			cost += p.m.TransferCycles
+		default:
+			cost += p.m.L2HitCycles
 		}
-		p.m.dir.Add(line, p.ID())
 		if evicted {
 			p.m.dir.Remove(victim, p.ID())
 			if p.hw != nil && p.hw.Bounded {
-				_, inR := p.hw.ReadSet[victim]
-				_, inW := p.hw.WriteSet[victim]
-				if inR || inW {
+				if inR, inW := p.m.holders.has(victim, p.ID()); inR || inW {
 					// Evicting a transactional line overflows BTM.
 					p.killHW(p, AbortOverflow, mem.LineAddr(victim), true)
 				}
@@ -512,12 +500,11 @@ func (p *Proc) charge(line uint64, write bool) {
 		}
 	}
 	if write {
-		others := p.m.dir.Others(line, p.ID())
-		if len(others) > 0 {
+		others := p.m.dir.RemoveOthers(line, p.ID())
+		if !others.Empty() {
 			cost += p.m.TransferCycles // exclusive-permission upgrade
-			for _, q := range others {
+			for q := others.Next(0); q >= 0; q = others.Next(q + 1) {
 				p.m.procs[q].l1.Invalidate(line)
-				p.m.dir.Remove(line, q)
 			}
 		}
 	}
@@ -534,8 +521,12 @@ func (p *Proc) TxRead(addr uint64) (uint64, Outcome) {
 	if out.Kind != OK {
 		return 0, out
 	}
-	if v, ok := p.hw.Spec[addr]; ok {
-		return v, okOutcome
+	// The store buffer only holds words of lines under this transaction's
+	// SW bit.
+	if _, inW := p.m.holders.has(mem.LineOf(addr), p.ID()); inW {
+		if v, ok := p.hw.spec[addr]; ok {
+			return v, okOutcome
+		}
 	}
 	return p.m.Mem.Read64(addr), okOutcome
 }
@@ -547,7 +538,7 @@ func (p *Proc) TxWrite(addr, val uint64) Outcome {
 	if out.Kind != OK {
 		return out
 	}
-	p.hw.Spec[addr] = val
+	p.hw.spec[addr] = val
 	return okOutcome
 }
 
@@ -615,26 +606,20 @@ func (p *Proc) ufoUpdate(addr uint64, apply func(), bits mem.UFOBits) {
 	// Exclusive permission: invalidate all other copies (unless the
 	// owner-state optimization keeps read-sharers valid).
 	if !sharedInstall {
-		others := p.m.dir.Others(line, p.ID())
-		if len(others) > 0 {
+		others := p.m.dir.RemoveOthers(line, p.ID())
+		if !others.Empty() {
 			cost += p.m.TransferCycles
 		}
-		for _, qid := range others {
-			q := p.m.procs[qid]
-			q.l1.Invalidate(line)
-			p.m.dir.Remove(line, qid)
+		for q := others.Next(0); q >= 0; q = others.Next(q + 1) {
+			p.m.procs[q].l1.Invalidate(line)
 		}
 	}
-	// Kill hardware transactions holding the line.
-	for _, q := range p.m.procs {
-		if q == p || q.hw == nil || q.hw.pendingAbort != AbortNone {
-			continue
-		}
-		_, inR := q.hw.ReadSet[line]
-		_, inW := q.hw.WriteSet[line]
-		if !inR && !inW {
-			continue
-		}
+	// Kill hardware transactions holding the line, in ascending ID.
+	var held cache.ProcSet
+	p.m.holders.conflicts(line, p.ID(), true, &held)
+	for qi := held.Next(0); qi >= 0; qi = held.Next(qi + 1) {
+		q := p.m.procs[qi]
+		_, inW := p.m.holders.has(line, qi)
 		trueConflict := inW || bits&mem.UFOFaultOnRead != 0
 		if trueConflict {
 			p.m.Count.UFOKillsTrue++

@@ -74,11 +74,15 @@ const (
 // architectural memory per sweep cell but touch a small fraction of it, so
 // eager allocation — one zeroed slab per cell — used to dominate the whole
 // sweep's wall-clock (the memclr was ~half the Figure 5 sweep benchmark).
+//
+// The page tables hold pointers to fixed-size pages rather than slices,
+// so an untouched page costs one 8-byte entry instead of a 24-byte slice
+// header.
 type Memory struct {
-	pages    [][]uint64  // PageWords words per entry; nil = untouched (zero)
-	ufoPages [][]UFOBits // PageLines bits per entry; nil = all clear
-	size     uint64      // architectural size in bytes
-	brk      uint64      // sbrk-style allocation frontier, in bytes
+	pages    []*[PageWords]uint64  // nil = untouched (zero)
+	ufoPages []*[PageLines]UFOBits // nil = all clear
+	size     uint64                // architectural size in bytes
+	brk      uint64                // sbrk-style allocation frontier, in bytes
 }
 
 // New creates a memory of the given size in bytes (rounded up to a whole
@@ -89,8 +93,8 @@ func New(sizeBytes uint64) *Memory {
 	}
 	pages := (sizeBytes + PageBytes - 1) / PageBytes
 	return &Memory{
-		pages:    make([][]uint64, pages),
-		ufoPages: make([][]UFOBits, pages),
+		pages:    make([]*[PageWords]uint64, pages),
+		ufoPages: make([]*[PageLines]UFOBits, pages),
 		size:     pages * PageBytes,
 	}
 }
@@ -116,10 +120,10 @@ func (m *Memory) Sbrk(n uint64) uint64 {
 func (m *Memory) grow() {
 	m.size *= 2
 	pages := m.size / PageBytes
-	newPages := make([][]uint64, pages)
+	newPages := make([]*[PageWords]uint64, pages)
 	copy(newPages, m.pages)
 	m.pages = newPages
-	newUFO := make([][]UFOBits, pages)
+	newUFO := make([]*[PageLines]UFOBits, pages)
 	copy(newUFO, m.ufoPages)
 	m.ufoPages = newUFO
 }
@@ -151,7 +155,7 @@ func (m *Memory) Write64(addr, val uint64) {
 		if val == 0 {
 			return // writing zero to an untouched page changes nothing
 		}
-		pg = make([]uint64, PageWords)
+		pg = new([PageWords]uint64)
 		m.pages[addr/PageBytes] = pg
 	}
 	pg[addr%PageBytes/WordBytes] = val
@@ -177,7 +181,7 @@ func (m *Memory) SetUFO(addr uint64, bits UFOBits) {
 		if bits == UFONone {
 			return
 		}
-		pg = make([]UFOBits, PageLines)
+		pg = new([PageLines]UFOBits)
 		m.ufoPages[line/PageLines] = pg
 	}
 	pg[line%PageLines] = bits
@@ -191,7 +195,7 @@ func (m *Memory) AddUFO(addr uint64, bits UFOBits) {
 	line := LineOf(addr)
 	pg := m.ufoPages[line/PageLines]
 	if pg == nil {
-		pg = make([]UFOBits, PageLines)
+		pg = new([PageLines]UFOBits)
 		m.ufoPages[line/PageLines] = pg
 	}
 	pg[line%PageLines] |= bits
