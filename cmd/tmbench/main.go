@@ -1,15 +1,15 @@
 // Command tmbench runs the benchmark-regression suite (internal/perf)
-// and optionally gates against a checked-in baseline:
+// and optionally gates against a baseline report:
 //
-//	tmbench -out BENCH_2026-08-05.json                 # take a baseline
-//	tmbench -baseline BENCH_2026-08-05.json -gate      # CI regression gate
+//	tmbench -out base.json                             # time the base build
+//	tmbench -baseline base.json -gate                  # gate this build on it
 //	tmbench -bench 'fig5/genome' -benchtime 2s         # one cell, longer
 //
 // The gate fails (exit 1) when an entry matching -gate-pattern regresses
 // beyond -tolerance in ns/op versus the baseline, or has disappeared from
-// the suite. All other entries are reported informationally. See
-// EXPERIMENTS.md ("Benchmark suite and regression gate") for the
-// baseline-refresh procedure.
+// the suite. All other entries are reported informationally. CI times
+// the base commit and the change on one runner; see EXPERIMENTS.md
+// ("Benchmark suite and regression gate").
 package main
 
 import (
@@ -23,8 +23,7 @@ import (
 )
 
 func main() {
-	out := flag.String("out", "", "write the report to this path (default BENCH_<date>.json with -write)")
-	write := flag.Bool("write", false, "write the report even when -out is empty, to BENCH_<date>.json")
+	out := flag.String("out", "", "write the report to this path")
 	baseline := flag.String("baseline", "", "baseline report to compare against")
 	gate := flag.Bool("gate", false, "exit 1 on gated regressions vs -baseline")
 	gatePattern := flag.String("gate-pattern", "^"+perf.GateBenchmark+"$", "regexp selecting gated entries")
@@ -80,15 +79,11 @@ func main() {
 			e.Name, int64(e.NsPerOp), e.AllocsPerOp, e.SimCyclesPerSec)
 	}
 
-	path := *out
-	if path == "" && *write {
-		path = "BENCH_" + date + ".json"
-	}
-	if path != "" {
-		if err := report.WriteFile(path); err != nil {
+	if *out != "" {
+		if err := report.WriteFile(*out); err != nil {
 			fatalf("writing report: %v", err)
 		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", path)
+		fmt.Fprintf(os.Stderr, "wrote %s\n", *out)
 	}
 
 	if base != nil {

@@ -78,7 +78,8 @@
 //	    runs that single cell with machine tracing and exports the trace
 //	    (text, jsonl, or a Perfetto/about://tracing-loadable Chrome
 //	    trace with one track per simulated processor) instead of running
-//	    experiments. -metrics-out and -contention-out compose with it.
+//	    experiments. -metrics-out, -contention-out and -txstats-out
+//	    compose with it, each writing a one-cell sweep report.
 //
 // Host profiling: -cpuprofile and -memprofile write runtime/pprof
 // profiles of tmsim itself (the simulator, not the simulated machine),
@@ -150,12 +151,6 @@ func main() {
 		}
 	}
 
-	if cfg.traceOut != "" {
-		fail(runTraced(opt, scale, cfg))
-		stopProfiles()
-		return
-	}
-
 	var mrep harness.MetricsReport
 	var crep harness.ContentionReport
 	var trep harness.TxStatsReport
@@ -193,10 +188,7 @@ func main() {
 			harness.PrintFigure5(os.Stdout, data, scale)
 			fail(err)
 			if cfg.csvPath != "" {
-				f, err := os.Create(cfg.csvPath)
-				fail(err)
-				fail(harness.WriteFigure5CSV(f, data, scale))
-				fail(f.Close())
+				fail(writeFile(cfg.csvPath, func(w io.Writer) error { return harness.WriteFigure5CSV(w, data, scale) }))
 				fmt.Printf("  [csv written to %s]\n", cfg.csvPath)
 			}
 		case "fig6":
@@ -240,10 +232,7 @@ func main() {
 			harness.PrintOLTP(os.Stdout, rep)
 			fail(err)
 			if cfg.oltpOut != "" {
-				f, err := os.Create(cfg.oltpOut)
-				fail(err)
-				fail(rep.WriteJSON(f))
-				fail(f.Close())
+				fail(writeFile(cfg.oltpOut, rep.WriteJSON))
 				fmt.Printf("  [oltp report for %d points written to %s]\n", len(rep.Points), cfg.oltpOut)
 			}
 		case "litmus":
@@ -255,10 +244,7 @@ func main() {
 			rep := litmus.Run(lc)
 			rep.WriteText(os.Stdout)
 			if cfg.litmusOut != "" {
-				f, err := os.Create(cfg.litmusOut)
-				fail(err)
-				fail(rep.WriteJSON(f))
-				fail(f.Close())
+				fail(writeFile(cfg.litmusOut, rep.WriteJSON))
 				fmt.Printf("  [litmus report written to %s]\n", cfg.litmusOut)
 			}
 			if n := len(rep.Failures); n > 0 {
@@ -268,34 +254,58 @@ func main() {
 		fmt.Printf("  [%s completed in %v]\n", name, time.Since(start).Round(time.Millisecond))
 	}
 
-	if cfg.experiment == "all" {
+	switch {
+	case cfg.traceOut != "":
+		// The traced cell feeds the same collectors a sweep does, so its
+		// reports are one-cell sweep reports.
+		res, err := runTraced(opt, scale, cfg)
+		fail(err)
+		if runner.Collect != nil {
+			runner.Collect(harness.Job{}, res)
+		}
+	case cfg.experiment == "all":
 		for _, name := range []string{"params", "fig5", "fig6", "fig7", "fig8", "ablate", "extended", "footprints", "policies", "litmus"} {
 			run(name)
 		}
-	} else {
+	default:
 		run(cfg.experiment)
 	}
 
 	if cfg.metricsOut != "" {
-		f, err := os.Create(cfg.metricsOut)
-		fail(err)
-		fail(mrep.WriteJSON(f))
-		fail(f.Close())
+		fail(writeFile(cfg.metricsOut, mrep.WriteJSON))
 		fmt.Printf("  [metrics for %d cells written to %s]\n", len(mrep.Cells), cfg.metricsOut)
 	}
 	if cfg.contentionOut != "" {
-		fail(writeContention(&crep, cfg))
+		write := crep.WriteJSON
+		switch cfg.reportFormat {
+		case "html":
+			write = crep.WriteHTML
+		case "text":
+			write = crep.WriteText
+		}
+		fail(writeFile(cfg.contentionOut, write))
 		fmt.Printf("  [contention report (%s) for %d cells written to %s]\n",
 			cfg.reportFormat, len(crep.Cells), cfg.contentionOut)
 	}
 	if cfg.txstatsOut != "" {
-		f, err := os.Create(cfg.txstatsOut)
-		fail(err)
-		fail(trep.WriteJSON(f))
-		fail(f.Close())
+		fail(writeFile(cfg.txstatsOut, trep.WriteJSON))
 		fmt.Printf("  [txstats report for %d cells written to %s]\n", len(trep.Cells), cfg.txstatsOut)
 	}
 	stopProfiles()
+}
+
+// writeFile creates path and fills it with write, returning the first
+// error of the create, the write, or the close.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // startProfiles starts the -cpuprofile collection and returns a
@@ -326,41 +336,14 @@ func startProfiles(cfg *config) (func(), error) {
 			fmt.Fprintf(os.Stderr, "  [cpu profile written to %s]\n", cfg.cpuProfile)
 		}
 		if cfg.memProfile != "" {
-			f, err := os.Create(cfg.memProfile)
-			if err != nil {
+			runtime.GC() // flush garbage so the profile shows live heap
+			if err := writeFile(cfg.memProfile, pprof.WriteHeapProfile); err != nil {
 				fmt.Fprintf(os.Stderr, "tmsim: memprofile: %v\n", err)
 				return
 			}
-			runtime.GC() // flush garbage so the profile shows live heap
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "tmsim: memprofile: %v\n", err)
-			}
-			f.Close()
 			fmt.Fprintf(os.Stderr, "  [heap profile written to %s]\n", cfg.memProfile)
 		}
 	}, nil
-}
-
-// writeContention writes the accumulated contention report to
-// -contention-out in the -report format.
-func writeContention(rep *harness.ContentionReport, cfg *config) error {
-	f, err := os.Create(cfg.contentionOut)
-	if err != nil {
-		return err
-	}
-	switch cfg.reportFormat {
-	case "html":
-		err = rep.WriteHTML(f)
-	case "text":
-		err = rep.WriteText(f)
-	default:
-		err = rep.WriteJSON(f)
-	}
-	if err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // newSink builds the TraceSink selected by -trace-format.
@@ -377,80 +360,33 @@ func newSink(format string, w io.Writer) (machine.TraceSink, error) {
 	}
 }
 
-// runTraced runs one designated cell with tracing enabled and exports
-// the trace through the chosen sink. With -metrics-out it also writes
-// the cell's metrics snapshot as a one-cell report; with
-// -contention-out, a one-cell contention report.
-func runTraced(opt harness.Options, scale harness.Scale, cfg *config) error {
+// runTraced runs one designated cell with tracing enabled, exports the
+// trace through the chosen sink, and returns the cell's result for the
+// report collectors.
+func runTraced(opt harness.Options, scale harness.Scale, cfg *config) (harness.Result, error) {
 	f, ok := harness.FindWorkload(cfg.traceWorkload, scale)
 	if !ok {
-		return fmt.Errorf("unknown workload %q", cfg.traceWorkload)
+		return harness.Result{}, fmt.Errorf("unknown workload %q", cfg.traceWorkload)
 	}
 	system := cfg.system()
 	opt.TraceLimit = cfg.traceLimit
 	start := time.Now()
 	res := harness.Run(system, f.New(), cfg.traceThreads, opt)
 	if res.Err != nil {
-		return fmt.Errorf("%s/%s/%d: %w", cfg.traceWorkload, system, cfg.traceThreads, res.Err)
+		return res, fmt.Errorf("%s/%s/%d: %w", cfg.traceWorkload, system, cfg.traceThreads, res.Err)
 	}
-	out, err := os.Create(cfg.traceOut)
+	err := writeFile(cfg.traceOut, func(w io.Writer) error {
+		sink, err := newSink(cfg.traceFormat, w)
+		if err != nil {
+			return err
+		}
+		return res.Trace.Export(sink)
+	})
 	if err != nil {
-		return err
-	}
-	sink, err := newSink(cfg.traceFormat, out)
-	if err != nil {
-		out.Close()
-		return err
-	}
-	if err := res.Trace.Export(sink); err != nil {
-		out.Close()
-		return err
-	}
-	if err := out.Close(); err != nil {
-		return err
+		return res, err
 	}
 	fmt.Printf("  [%s/%s/%d threads: %d cycles, %d trace events (%s) written to %s in %v]\n",
 		cfg.traceWorkload, system, cfg.traceThreads, res.Cycles, res.Trace.Total(), cfg.traceFormat, cfg.traceOut,
 		time.Since(start).Round(time.Millisecond))
-	if cfg.metricsOut != "" {
-		var rep harness.MetricsReport
-		rep.Collector()(harness.Job{}, res)
-		mf, err := os.Create(cfg.metricsOut)
-		if err != nil {
-			return err
-		}
-		if err := rep.WriteJSON(mf); err != nil {
-			mf.Close()
-			return err
-		}
-		if err := mf.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("  [metrics written to %s]\n", cfg.metricsOut)
-	}
-	if cfg.contentionOut != "" {
-		var rep harness.ContentionReport
-		rep.Collector()(harness.Job{}, res)
-		if err := writeContention(&rep, cfg); err != nil {
-			return err
-		}
-		fmt.Printf("  [contention report (%s) written to %s]\n", cfg.reportFormat, cfg.contentionOut)
-	}
-	if cfg.txstatsOut != "" {
-		var rep harness.TxStatsReport
-		rep.Collector()(harness.Job{}, res)
-		tf, err := os.Create(cfg.txstatsOut)
-		if err != nil {
-			return err
-		}
-		if err := rep.WriteJSON(tf); err != nil {
-			tf.Close()
-			return err
-		}
-		if err := tf.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("  [txstats report written to %s]\n", cfg.txstatsOut)
-	}
-	return nil
+	return res, nil
 }

@@ -1,8 +1,6 @@
 package harness
 
 import (
-	"encoding/json"
-	"fmt"
 	"io"
 
 	"repro/internal/contention"
@@ -15,16 +13,8 @@ const ContentionSchemaVersion = "tmsim-contention-report/v1"
 // CellContention is one sweep cell's identity plus its frozen
 // conflict-attribution report.
 type CellContention struct {
-	Workload   string             `json:"workload"`
-	System     SystemKind         `json:"system"`
-	Threads    int                `json:"threads"`
-	Err        string             `json:"err,omitempty"`
+	Cell
 	Contention *contention.Report `json:"contention"`
-}
-
-// Label renders the cell's coordinates for the text/HTML renderers.
-func (c CellContention) Label() string {
-	return fmt.Sprintf("%s/%s/%d threads", c.Workload, c.System, c.Threads)
 }
 
 // ContentionReport accumulates per-cell contention reports across one or
@@ -41,16 +31,7 @@ type ContentionReport struct {
 // as "no contention data" rather than dropped, so cell counts line up).
 func (rep *ContentionReport) Collector() func(Job, Result) {
 	return func(_ Job, res Result) {
-		cell := CellContention{
-			Workload:   res.Workload,
-			System:     res.System,
-			Threads:    res.Threads,
-			Contention: res.Contention,
-		}
-		if res.Err != nil {
-			cell.Err = res.Err.Error()
-		}
-		rep.Cells = append(rep.Cells, cell)
+		rep.Cells = append(rep.Cells, CellContention{cellOf(res), res.Contention})
 	}
 }
 
@@ -65,31 +46,10 @@ func (rep *ContentionReport) Aggregate() *contention.Report {
 	return agg
 }
 
-// contentionJSON is the on-disk shape of a contention report.
-type contentionJSON struct {
-	Schema    string             `json:"schema"`
-	Cells     []CellContention   `json:"cells"`
-	Aggregate *contention.Report `json:"aggregate"`
-}
-
 // WriteJSON writes the report — schema tag, per-cell reports in sweep
 // order, and the aggregate — as indented JSON followed by a newline.
 func (rep *ContentionReport) WriteJSON(w io.Writer) error {
-	out := contentionJSON{
-		Schema:    ContentionSchemaVersion,
-		Cells:     rep.Cells,
-		Aggregate: rep.Aggregate(),
-	}
-	if out.Cells == nil {
-		out.Cells = []CellContention{}
-	}
-	b, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	_, err = w.Write(b)
-	return err
+	return writeCells(w, ContentionSchemaVersion, rep.Cells, rep.Aggregate())
 }
 
 // cells converts to the renderer's labeled-cell form.
@@ -119,12 +79,9 @@ func (rep *ContentionReport) WriteHTML(w io.Writer) error {
 // ReadContentionReport parses a report written by WriteJSON, for offline
 // reprocessing.
 func ReadContentionReport(r io.Reader) (*ContentionReport, error) {
-	var raw contentionJSON
-	if err := json.NewDecoder(r).Decode(&raw); err != nil {
+	cells, err := readCells[CellContention](r, ContentionSchemaVersion)
+	if err != nil {
 		return nil, err
 	}
-	if raw.Schema != ContentionSchemaVersion {
-		return nil, fmt.Errorf("harness: unknown contention report schema %q", raw.Schema)
-	}
-	return &ContentionReport{Cells: raw.Cells}, nil
+	return &ContentionReport{Cells: cells}, nil
 }

@@ -1,8 +1,6 @@
 package harness
 
 import (
-	"encoding/json"
-	"fmt"
 	"io"
 
 	"repro/internal/obs"
@@ -13,11 +11,8 @@ const ReportSchemaVersion = "tmsim-metrics-report/v1"
 
 // CellMetrics is one sweep cell's identity plus its metrics snapshot.
 type CellMetrics struct {
-	Workload string        `json:"workload"`
-	System   SystemKind    `json:"system"`
-	Threads  int           `json:"threads"`
-	Err      string        `json:"err,omitempty"`
-	Metrics  *obs.Snapshot `json:"metrics"`
+	Cell
+	Metrics *obs.Snapshot `json:"metrics"`
 }
 
 // MetricsReport accumulates per-cell metrics across one or more sweeps.
@@ -32,16 +27,7 @@ type MetricsReport struct {
 // Collector returns a Runner.Collect callback appending into the report.
 func (rep *MetricsReport) Collector() func(Job, Result) {
 	return func(_ Job, res Result) {
-		cell := CellMetrics{
-			Workload: res.Workload,
-			System:   res.System,
-			Threads:  res.Threads,
-			Metrics:  res.Metrics,
-		}
-		if res.Err != nil {
-			cell.Err = res.Err.Error()
-		}
-		rep.Cells = append(rep.Cells, cell)
+		rep.Cells = append(rep.Cells, CellMetrics{cellOf(res), res.Metrics})
 	}
 }
 
@@ -58,31 +44,10 @@ func (rep *MetricsReport) Aggregate() *obs.Snapshot {
 	return agg
 }
 
-// reportJSON is the on-disk shape of a metrics report.
-type reportJSON struct {
-	Schema    string        `json:"schema"`
-	Cells     []CellMetrics `json:"cells"`
-	Aggregate *obs.Snapshot `json:"aggregate"`
-}
-
 // WriteJSON writes the report — schema tag, per-cell snapshots in sweep
 // order, and the aggregate — as indented JSON followed by a newline.
 func (rep *MetricsReport) WriteJSON(w io.Writer) error {
-	out := reportJSON{
-		Schema:    ReportSchemaVersion,
-		Cells:     rep.Cells,
-		Aggregate: rep.Aggregate(),
-	}
-	if out.Cells == nil {
-		out.Cells = []CellMetrics{}
-	}
-	b, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	_, err = w.Write(b)
-	return err
+	return writeCells(w, ReportSchemaVersion, rep.Cells, rep.Aggregate())
 }
 
 // ReadMetricsReport parses a report written by WriteJSON, for offline
@@ -90,14 +55,11 @@ func (rep *MetricsReport) WriteJSON(w io.Writer) error {
 // from an archived report instead of rerunning the simulator). It
 // rejects any schema tag but ReportSchemaVersion.
 func ReadMetricsReport(r io.Reader) (*MetricsReport, error) {
-	var raw reportJSON
-	if err := json.NewDecoder(r).Decode(&raw); err != nil {
+	cells, err := readCells[CellMetrics](r, ReportSchemaVersion)
+	if err != nil {
 		return nil, err
 	}
-	if raw.Schema != ReportSchemaVersion {
-		return nil, fmt.Errorf("harness: unknown metrics report schema %q", raw.Schema)
-	}
-	return &MetricsReport{Cells: raw.Cells}, nil
+	return &MetricsReport{Cells: cells}, nil
 }
 
 // FindWorkload looks a workload factory up by name across the paper and

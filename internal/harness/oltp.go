@@ -1,10 +1,10 @@
 package harness
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
+	"repro/internal/obs"
 	"repro/internal/oltp"
 	"repro/internal/stamp"
 	"repro/internal/txstats"
@@ -284,10 +284,7 @@ func (r *Runner) OLTP(opt Options, scale Scale, sc OLTPSweepConfig) (*OLTPReport
 				if ts.QueueWait != nil {
 					pt.QueueWaitP99 = ts.QueueWait.P99()
 				}
-				if total := ts.UsefulCycles + ts.WastedCycles + ts.BackoffCycles +
-					ts.RetryWaitCycles + ts.OverheadCycles; total > 0 {
-					pt.WastedShare = float64(ts.WastedCycles+ts.BackoffCycles) / float64(total)
-				}
+				pt.WastedShare = ts.WastedShare()
 			}
 			rep.Points = append(rep.Points, pt)
 		}
@@ -332,24 +329,15 @@ func (rep *OLTPReport) WriteJSON(w io.Writer) error {
 	if out.Knees == nil {
 		out.Knees = []OLTPKnee{}
 	}
-	b, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	_, err = w.Write(b)
-	return err
+	return obs.WriteReport(w, out)
 }
 
 // ReadOLTPReport parses a report written by WriteJSON, for offline
 // reprocessing and CI sanity checks.
 func ReadOLTPReport(r io.Reader) (*OLTPReport, error) {
 	rep := &OLTPReport{}
-	if err := json.NewDecoder(r).Decode(rep); err != nil {
+	if err := obs.ReadReport(r, OLTPSchemaVersion, rep); err != nil {
 		return nil, err
-	}
-	if rep.Schema != OLTPSchemaVersion {
-		return nil, fmt.Errorf("harness: unknown oltp report schema %q", rep.Schema)
 	}
 	return rep, nil
 }

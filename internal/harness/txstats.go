@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -15,16 +14,8 @@ const TxStatsSchemaVersion = "tmsim-txstats/v1"
 // CellTxStats is one sweep cell's identity plus its frozen
 // transaction-lifecycle report.
 type CellTxStats struct {
-	Workload string          `json:"workload"`
-	System   SystemKind      `json:"system"`
-	Threads  int             `json:"threads"`
-	Err      string          `json:"err,omitempty"`
-	TxStats  *txstats.Report `json:"txstats"`
-}
-
-// Label renders the cell's coordinates for the text renderer.
-func (c CellTxStats) Label() string {
-	return fmt.Sprintf("%s/%s/%d threads", c.Workload, c.System, c.Threads)
+	Cell
+	TxStats *txstats.Report `json:"txstats"`
 }
 
 // TxStatsReport accumulates per-cell lifecycle reports across one or
@@ -42,16 +33,7 @@ type TxStatsReport struct {
 // "no txstats data" rather than dropped, so cell counts line up).
 func (rep *TxStatsReport) Collector() func(Job, Result) {
 	return func(_ Job, res Result) {
-		cell := CellTxStats{
-			Workload: res.Workload,
-			System:   res.System,
-			Threads:  res.Threads,
-			TxStats:  res.TxStats,
-		}
-		if res.Err != nil {
-			cell.Err = res.Err.Error()
-		}
-		rep.Cells = append(rep.Cells, cell)
+		rep.Cells = append(rep.Cells, CellTxStats{cellOf(res), res.TxStats})
 	}
 }
 
@@ -66,44 +48,20 @@ func (rep *TxStatsReport) Aggregate() *txstats.Report {
 	return agg
 }
 
-// txstatsJSON is the on-disk shape of a lifecycle report.
-type txstatsJSON struct {
-	Schema    string          `json:"schema"`
-	Cells     []CellTxStats   `json:"cells"`
-	Aggregate *txstats.Report `json:"aggregate"`
-}
-
 // WriteJSON writes the report — schema tag, per-cell reports in sweep
 // order, and the aggregate — as indented JSON followed by a newline.
 func (rep *TxStatsReport) WriteJSON(w io.Writer) error {
-	out := txstatsJSON{
-		Schema:    TxStatsSchemaVersion,
-		Cells:     rep.Cells,
-		Aggregate: rep.Aggregate(),
-	}
-	if out.Cells == nil {
-		out.Cells = []CellTxStats{}
-	}
-	b, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	_, err = w.Write(b)
-	return err
+	return writeCells(w, TxStatsSchemaVersion, rep.Cells, rep.Aggregate())
 }
 
 // ReadTxStatsReport parses a report written by WriteJSON, for offline
 // reprocessing.
 func ReadTxStatsReport(r io.Reader) (*TxStatsReport, error) {
-	var raw txstatsJSON
-	if err := json.NewDecoder(r).Decode(&raw); err != nil {
+	cells, err := readCells[CellTxStats](r, TxStatsSchemaVersion)
+	if err != nil {
 		return nil, err
 	}
-	if raw.Schema != TxStatsSchemaVersion {
-		return nil, fmt.Errorf("harness: unknown txstats report schema %q", raw.Schema)
-	}
-	return &TxStatsReport{Cells: raw.Cells}, nil
+	return &TxStatsReport{Cells: cells}, nil
 }
 
 // Latency runs the `-experiment latency` sweep: the Figure 5 workloads ×
@@ -141,13 +99,8 @@ func PrintLatency(w io.Writer, data []Figure5Data, scale Scale) {
 				if ts.Attempts != nil && ts.Attempts.Count > 0 {
 					meanAttempts = float64(ts.Attempts.Sum) / float64(ts.Attempts.Count)
 				}
-				wastedShare := 0.0
-				if total := ts.UsefulCycles + ts.WastedCycles + ts.BackoffCycles +
-					ts.RetryWaitCycles + ts.OverheadCycles; total > 0 {
-					wastedShare = float64(ts.WastedCycles+ts.BackoffCycles) / float64(total)
-				}
 				fmt.Fprintf(w, "%-14s %5d %9d %9.0f %9.0f %9.0f %9.0f %8.2f %6.1f%%\n",
-					sys, t, ts.Committed, p50, p90, p99, p999, meanAttempts, 100*wastedShare)
+					sys, t, ts.Committed, p50, p90, p99, p999, meanAttempts, 100*ts.WastedShare())
 			}
 		}
 	}

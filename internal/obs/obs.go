@@ -569,12 +569,4 @@ func (s *Snapshot) String() string {
 }
 
 // WriteJSON writes the snapshot as indented JSON followed by a newline.
-func (s *Snapshot) WriteJSON(w io.Writer) error {
-	b, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	_, err = w.Write(b)
-	return err
-}
+func (s *Snapshot) WriteJSON(w io.Writer) error { return WriteReport(w, s) }

@@ -1,7 +1,8 @@
 // Package perf is the repo's benchmark-regression suite: it times the
 // simulation workloads with a controllable measurement budget, emits a
-// deterministic-schema JSON report (BENCH_<date>.json), and compares a
-// fresh report against a checked-in baseline with a tolerance gate.
+// deterministic-schema JSON report (tmsim-bench/v1, written through
+// obs.WriteReport), and compares a fresh report against a baseline
+// report with a tolerance gate.
 //
 // Paper: §5 (evaluation methodology) — this package times the repo's
 // reproduction of that evaluation (the Figure 5 sweep) in wall-clock
@@ -17,19 +18,22 @@
 //     is bit-identical on every machine because the simulator is
 //     deterministic.
 //
-// The CI gate compares NsPerOp with a generous tolerance (same runner
-// family run to run); SimCyclesPerOp changing at all means the simulated
-// behavior changed and should be explained by the commit. See
-// EXPERIMENTS.md for the baseline-refresh procedure.
+// The CI gate times the base commit and the change on one runner and
+// compares NsPerOp with a generous tolerance; SimCyclesPerOp changing at
+// all means the simulated behavior changed and should be explained by
+// the commit. See EXPERIMENTS.md ("Benchmark suite and regression
+// gate").
 package perf
 
 import (
-	"encoding/json"
+	"bytes"
 	"fmt"
 	"os"
 	"runtime"
 	"sort"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // Schema identifies the report format.
@@ -83,27 +87,25 @@ func (r *Report) Lookup(name string) (Entry, bool) {
 	return Entry{}, false
 }
 
-// WriteFile writes the report as indented JSON.
+// WriteFile writes the report as indented JSON (obs.WriteReport).
 func (r *Report) WriteFile(path string) error {
-	buf, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
+	var buf bytes.Buffer
+	if err := obs.WriteReport(&buf, r); err != nil {
 		return err
 	}
-	return os.WriteFile(path, append(buf, '\n'), 0o644)
+	return os.WriteFile(path, buf.Bytes(), 0o644)
 }
 
 // ReadFile loads a report and validates its schema tag.
 func ReadFile(path string) (*Report, error) {
-	buf, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
+	defer f.Close()
 	var r Report
-	if err := json.Unmarshal(buf, &r); err != nil {
+	if err := obs.ReadReport(f, Schema, &r); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if r.Schema != Schema {
-		return nil, fmt.Errorf("%s: schema %q, want %q", path, r.Schema, Schema)
 	}
 	return &r, nil
 }

@@ -8,9 +8,8 @@ import (
 )
 
 // GateBenchmark is the entry the CI regression gate protects: the full
-// small-scale Figure 5 sweep, mirroring BenchmarkFigure5Sweep in
-// internal/harness. One op = every workload x every Figure 5 system x
-// every small thread count.
+// small-scale Figure 5 sweep. One op = every workload x every Figure 5
+// system x every small thread count.
 const GateBenchmark = "Figure5Sweep"
 
 // SuiteOptions mirrors the harness test configuration: small enough for
@@ -22,9 +21,10 @@ func SuiteOptions() harness.Options {
 	return opt
 }
 
-// Suite returns the benchmark suite: the gated full sweep, one
-// workload-x-system cell benchmark per Figure 5 pair (at the largest
-// small-scale thread count), and the engine handoff microbenchmarks at
+// Suite returns the benchmark suite: the gated full sweep and its
+// txstats and contention variants, one workload-x-system cell benchmark
+// per Figure 5 pair (at the largest small-scale thread count), the
+// scalemix and oltp entries, and the engine handoff microbenchmarks at
 // 2 and 256 procs.
 func Suite() []Bench {
 	opt := SuiteOptions()
@@ -32,43 +32,38 @@ func Suite() []Bench {
 	threadCounts := harness.ThreadCounts(scale)
 	maxThreads := threadCounts[len(threadCounts)-1]
 
-	benches := []Bench{{
-		Name: GateBenchmark,
-		Op: func() uint64 {
+	// sweep is one op of the full small Figure 5 sweep under o.
+	sweep := func(o harness.Options) func() uint64 {
+		return func() uint64 {
 			var cycles uint64
 			for _, f := range harness.Benchmarks(scale) {
 				for _, sys := range harness.Figure5Systems {
 					for _, threads := range threadCounts {
-						cycles += runCell(sys, f, threads, opt)
+						cycles += runCell(sys, f, threads, o)
 					}
 				}
 			}
 			return cycles
-		},
-	}}
+		}
+	}
 
-	// The same sweep with per-transaction lifecycle accounting enabled:
-	// the ns/op ratio against the gated entry is what -txstats-out costs.
-	// Informational, not gated — the gate pattern anchors on Figure5Sweep
-	// exactly, and the disabled-path cost of the lifecycle hooks is
-	// bounded by the gated entry itself (they reduce to a nil check when
-	// no recorder is attached).
+	// The same sweep with per-transaction lifecycle accounting, and with
+	// conflict attribution at tmsim's -contention-out defaults: the ns/op
+	// ratios against the gated entry are what -txstats-out and
+	// -contention-out cost. Informational, not gated — the gate pattern
+	// anchors on Figure5Sweep exactly, and the disabled-path cost of the
+	// recorders is bounded by the gated entry itself (their hooks reduce
+	// to a nil check when nothing is attached).
 	topt := opt
 	topt.TxStats = true
-	benches = append(benches, Bench{
-		Name: "Figure5Sweep/txstats",
-		Op: func() uint64 {
-			var cycles uint64
-			for _, f := range harness.Benchmarks(scale) {
-				for _, sys := range harness.Figure5Systems {
-					for _, threads := range threadCounts {
-						cycles += runCell(sys, f, threads, topt)
-					}
-				}
-			}
-			return cycles
-		},
-	})
+	copt := opt
+	copt.Contention = true
+	copt.TimeSeriesWindow = 100_000
+	benches := []Bench{
+		{Name: GateBenchmark, Op: sweep(opt)},
+		{Name: GateBenchmark + "/txstats", Op: sweep(topt)},
+		{Name: GateBenchmark + "/contention", Op: sweep(copt)},
+	}
 
 	for _, f := range harness.Benchmarks(scale) {
 		for _, sys := range harness.Figure5Systems {
@@ -94,8 +89,8 @@ func Suite() []Bench {
 	// Service-workload entries: the whole small oltp sweep (all three
 	// axes x all systems, the -experiment oltp hot path) plus one
 	// per-system cell at the default sweep shape. Informational for now —
-	// ungated until a few BENCH_*.json snapshots establish how noisy the
-	// open-loop cells are (the later-gating plan is in EXPERIMENTS.md).
+	// ungated until base-vs-head runs establish how noisy the open-loop
+	// cells are (the later-gating plan is in EXPERIMENTS.md).
 	benches = append(benches, Bench{
 		Name: "oltp/sweep",
 		Op: func() uint64 {

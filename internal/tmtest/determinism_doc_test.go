@@ -12,12 +12,13 @@ import (
 	"testing"
 )
 
-// determinismKeyword matches doc comments that state a determinism
-// contract: either how the symbol participates in the deterministic
-// schedule (ordered sections, (cycle, id) serialization, seeds, replay,
-// bit-identical results) or why it does not need to (proc-local state,
-// no shared state). The vocabulary is deliberately the one DESIGN.md §14
-// uses, so godoc and the design document stay in the same language.
+// determinismKeyword matches doc comments that state the serial
+// determinism contract: either how the symbol participates in the
+// deterministic schedule (runs while holding the execution token,
+// (cycle, id) serialization, seeded randomness, replay, bit-identical
+// results) or why it does not need to (proc-local state, no shared
+// state). The vocabulary is deliberately the one DESIGN.md §12 uses, so
+// godoc and the design document stay in the same language.
 var determinismKeyword = regexp.MustCompile(
 	`(?i)determinis|bit-identical|ordered|ordering|serializ|schedul|reproduc|replay|` +
 		`same seed|seeded|program order|\(cycle|-local\b|local to |no shared`)
@@ -36,8 +37,9 @@ var contractTypes = map[string]map[string]bool{
 // for internal/sim and internal/machine: every exported symbol carries a
 // doc comment, and the scheduler-facing surface (contractTypes, plus all
 // top-level functions in internal/sim) states its determinism contract —
-// needs an ordered section, is proc-local, is seeded, and so on. A new
-// exported method with an undocumented contract fails CI here.
+// is proc-local, runs while holding the execution token, is seeded, and
+// so on. A new exported method with an undocumented contract fails CI
+// here.
 func TestSchedulerAPIDocumentsDeterminismContract(t *testing.T) {
 	for dir, contract := range contractTypes {
 		pkg := parsePackage(t, dir)
@@ -50,7 +52,7 @@ func TestSchedulerAPIDocumentsDeterminismContract(t *testing.T) {
 				t.Errorf("internal/%s: exported %s %s has no doc comment", short, kind, name)
 			case needContract && !determinismKeyword.MatchString(docText):
 				t.Errorf("internal/%s: %s %s does not state its determinism contract "+
-					"(say whether it needs an ordered section, is proc-local, seeded, ...)", short, kind, name)
+					"(say whether it is proc-local, runs while holding the execution token, is seeded, ...)", short, kind, name)
 			}
 		}
 

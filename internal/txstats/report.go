@@ -182,6 +182,19 @@ func sortProcCycles(s []ProcCycles) {
 	})
 }
 
+// WastedShare is the fraction of transactional cycles burned in aborted
+// attempts and backoff: (wasted + backoff) over the whole cycle split
+// (useful + wasted + backoff + retry-wait + overhead), or 0 when the
+// split is empty.
+func (rep *Report) WastedShare() float64 {
+	total := rep.UsefulCycles + rep.WastedCycles + rep.BackoffCycles +
+		rep.RetryWaitCycles + rep.OverheadCycles
+	if total == 0 {
+		return 0
+	}
+	return float64(rep.WastedCycles+rep.BackoffCycles) / float64(total)
+}
+
 // Add merges other into rep: counts and cycle totals sum, per-path and
 // per-(path,reason) breakdowns sum in declaration order, the
 // aggressor-wasted ranking sums per processor and re-sorts, and the

@@ -203,6 +203,19 @@ func TestReportAddCommutative(t *testing.T) {
 	}
 }
 
+// TestReportWastedShare: the wasted share is (wasted + backoff) over the
+// whole cycle split, and 0 for an empty split.
+func TestReportWastedShare(t *testing.T) {
+	var empty Report
+	if got := empty.WastedShare(); got != 0 {
+		t.Fatalf("empty split: wasted share %v, want 0", got)
+	}
+	rep := Report{UsefulCycles: 50, WastedCycles: 20, BackoffCycles: 5, RetryWaitCycles: 15, OverheadCycles: 10}
+	if got := rep.WastedShare(); got != 0.25 {
+		t.Fatalf("wasted share %v, want 0.25", got)
+	}
+}
+
 func TestRecorderRegister(t *testing.T) {
 	r := New(2)
 	script(r)
